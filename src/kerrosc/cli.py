@@ -127,8 +127,12 @@ def run_oracle(cfg: ScenarioConfig, out: Path, tol: float,
     ])
     cols = cols + ["norm_drift", "fidelity"]
     rows = np.column_stack([rows, run.norm_drift, fid])
+    meta = _metadata(cfg, "oracle", tol, n_trunc)
+    meta["oracle_steps"] = (f"accepted={run.accepted_steps} "
+                            f"rejected={run.rejected_steps} "
+                            f"budget={run.budget:g}")
     path = out / f"oracle.{fmt}"
-    _write_table(path, cols, rows, _metadata(cfg, "oracle", tol, n_trunc), fmt)
+    _write_table(path, cols, rows, meta, fmt)
     return [path]
 
 

@@ -1,4 +1,7 @@
-"""Adaptive step-size ODE integration and quadrature shared by all solvers.
+"""Adaptive step-size ODE integration and quadrature shared by the solvers.
+
+The exact oracle (`kerrosc.oracle.integrate_exact`) has its own unitary
+split-step propagator and does not use this stepper.
 
 The embedded Dormand-Prince 5(4) pair propagates complex state vectors with
 an error-per-unit-step budget of tol**2 (floored near the rounding noise of

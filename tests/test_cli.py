@@ -70,7 +70,8 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert main(["oracle", "--config", str(cfg_file),
                      "--out", str(out)]) == 0
-        _, columns, data = read_table(out / "oracle.csv")
+        header, columns, data = read_table(out / "oracle.csv")
+        assert any(h.startswith("# oracle_steps: accepted=") for h in header)
         assert columns[-2:] == ["norm_drift", "fidelity"]
         assert data[0, -1] == pytest.approx(1.0, abs=1e-9)
         assert np.all(data[:, -1] <= 1.0 + 1e-9)

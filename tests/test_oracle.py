@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from kerrosc.driven import DriveSpec
 from kerrosc.evolution import ModelParams, evolved_state, integrate_wei_norman
 from kerrosc.fock import FockState, coherent_state, number_state
+from kerrosc.integrators import StepSizeError
 from kerrosc.oracle import (
     OracleError,
     fidelity,
@@ -57,6 +59,54 @@ class TestIntegrateExact:
         p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
         with pytest.raises(OracleError, match="boundary"):
             integrate_exact(p, number_state(18, 20), 1.0)
+
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 8 * math.pi, 2001),
+        np.array([0.0, 1.0, 2.0 - 1e-13, 2.0]),
+        np.array([0.0, 0.5, 0.5, 1.25, 1.25, 2.0]),
+    ], ids=["linspace-8pi", "sliver-before-end", "duplicates"])
+    def test_lands_on_awkward_sample_grids(self, times):
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
+        psi0 = coherent_state(1.0, 40)
+        t_end = float(times[-1])
+        run = integrate_exact(p, psi0, t_end, tol=1e-10, sample_times=times)
+        assert np.array_equal(run.times, times)
+        assert run.accepted_steps >= np.count_nonzero(np.diff(times))
+        # each sample is the state at its own time: restarting the run from
+        # zero with that time as the only sample lands on the same state
+        for i in (1, -2, -1):
+            alone = integrate_exact(p, psi0, float(times[i]), tol=1e-10,
+                                    sample_times=times[[i]])
+            assert 1.0 - fidelity(run.state_at(i), alone.state_at(0)) < 1e-12
+        for i in np.flatnonzero(np.diff(times) == 0.0):
+            assert np.array_equal(run.states[i], run.states[i + 1])
+
+    def test_budget_under_rounding_floor_refused(self):
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
+        with pytest.raises(StepSizeError, match="underflow"):
+            integrate_exact(p, coherent_state(1.0, 30), 0.5, tol=1e-16,
+                            sample_times=np.array([0.5]))
+
+    def test_step_telemetry_reported(self, caplog):
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
+        with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+            run = integrate_exact(p, coherent_state(1.0, 40), 3.0, tol=1e-9,
+                                  sample_times=np.array([3.0]))
+        assert run.accepted_steps > 0 and run.rejected_steps >= 0
+        assert run.budget == 1e-9
+        assert (f"{run.accepted_steps} accepted, {run.rejected_steps} "
+                "rejected steps") in caplog.text
+        assert "peak norm drift" in caplog.text
+        assert "peak boundary population" in caplog.text
+
+    def test_rejects_unsorted_sample_times(self):
+        p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
+        with pytest.raises(ValueError, match="sorted"):
+            integrate_exact(p, coherent_state(1.0, 30), 1.0,
+                            sample_times=np.array([0.5, 0.2]))
 
     def test_rejects_unnormalized_state(self):
         p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
