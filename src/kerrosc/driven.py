@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .fock import (
     FockOperator,
@@ -71,6 +70,7 @@ class DriveSpec:
             raise ValueError("tabulated drive needs matching 1-D samples")
         if np.any(np.diff(times) <= 0):
             raise ValueError("tabulated drive times must increase strictly")
+        from scipy.interpolate import CubicSpline  # lazy: slow import
         return cls(kind="tabulated", times=times, values=values,
                    _spline=CubicSpline(times, values))
 

@@ -18,10 +18,15 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .driven import DriveSpec
-from .fock import FockState, TruncationError, default_truncation, poisson_tail
+from .fock import (
+    FockState,
+    TruncationError,
+    coherent_amplitudes,
+    default_truncation,
+    poisson_tail,
+)
 from .integrators import integrate_adaptive
 
 __all__ = [
@@ -60,7 +65,7 @@ class ModelParams:
             warnings.warn(
                 f"chi/omega0 = {self.chi / self.omega0:.3g} > 0.5: outside "
                 "the weak-nonlinearity regime the approximations assume",
-                stacklevel=2)
+                stacklevel=3)  # past __post_init__ and __init__
 
     @property
     def nu(self) -> float:
@@ -282,19 +287,17 @@ def evolved_state(params: ModelParams, sol: WeiNormanSolution, t: float,
         raise TruncationError(
             f"n_trunc={n_trunc} leaves tail mass {tail:.3e} > 1e-9 "
             f"for |eta|^2={abs(eta)**2:.6g}")
-    xi = params.chi * t
+    amps = _evolved_amplitudes(params, sol, t, eta, n_trunc)
+    amps /= np.linalg.norm(amps)
+    return FockState(amps, normalized=True, renormalized=True)
+
+
+def _evolved_amplitudes(params: ModelParams, sol: WeiNormanSolution,
+                        t: float, eta: complex, n_trunc: int) -> np.ndarray:
+    """The c_n of `evolved_state` before renormalization; eta = eta_t."""
     g_phase = (sol.x1_at(t) + sol.x3_at(t) * params.alpha).imag \
         - 0.5 * params.omega0 * t
     n = np.arange(n_trunc)
     rotated = np.exp(-1j * params.omega0 * t) * eta
-    mag = abs(rotated)
-    if mag == 0.0:
-        amps = np.zeros(n_trunc, dtype=np.complex128)
-        amps[0] = np.exp(1j * g_phase)
-    else:
-        log_mag = n * math.log(mag) - 0.5 * gammaln(n + 1.0) \
-            - 0.5 * mag ** 2
-        phase = n * np.angle(rotated) - xi * n ** 2 + g_phase
-        amps = np.exp(log_mag + 1j * phase)
-    amps /= np.linalg.norm(amps)
-    return FockState(amps, normalized=True, renormalized=True)
+    return coherent_amplitudes(rotated, n_trunc) \
+        * np.exp(1j * (g_phase - params.chi * t * n ** 2))

@@ -9,12 +9,12 @@ do not overflow the factorials.
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammainc, gammaln
 
 __all__ = [
     "FockState",
@@ -31,6 +31,7 @@ __all__ = [
     "coherent_amplitudes",
     "number_state",
     "default_truncation",
+    "log_factorial",
     "poisson_tail",
     "apply",
     "expectation",
@@ -155,15 +156,39 @@ def momentum_operator(n_trunc: int, omega: float = 1.0) -> FockOperator:
 
 def displacement_operator(alpha: complex, n_trunc: int) -> FockOperator:
     """exp(alpha a^dag - conj(alpha) a) by dense scaling-and-squaring."""
+    from scipy.linalg import expm  # lazy: slow import
     a = annihilation_operator(n_trunc).matrix
     return FockOperator(expm(alpha * a.conj().T - np.conj(alpha) * a))
 
 
+@functools.lru_cache(maxsize=None)
+def _lgamma_table(size: int) -> np.ndarray:
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.flags.writeable = False
+    return table
+
+
+def log_factorial(n: int) -> np.ndarray:
+    """Read-only log(k!) for k = 0 .. n - 1, sliced from a cached table."""
+    return _lgamma_table(1 << max(n - 1, 63).bit_length())[:n]
+
+
 def poisson_tail(mean: float, n_trunc: int) -> float:
-    """Probability mass of Poisson(mean) at or above n_trunc."""
+    """Probability mass of Poisson(mean) at or above n_trunc.
+
+    Summed in log space: above the mean the tail itself, so a tiny tail keeps
+    its relative accuracy, else one minus the lower sum (the tail is then at
+    least about 1/2).  Past n_trunc, term j falls by prod_{i<=j} (1 + i/mean)
+    or more, which passes e^40 within 10 sqrt(mean) + 40 terms.
+    """
     if mean <= 0.0:
         return 0.0
-    return float(gammainc(n_trunc, mean))
+    upper = n_trunc > mean
+    lo = n_trunc if upper else 0
+    hi = n_trunc + int(10.0 * math.sqrt(mean)) + 40 if upper else n_trunc
+    mass = np.sum(np.exp(np.arange(lo, hi) * math.log(mean) - mean
+                         - log_factorial(hi)[lo:]))
+    return float(mass if upper else 1.0 - mass)
 
 
 def default_truncation(alpha: complex) -> int:
@@ -175,18 +200,16 @@ def default_truncation(alpha: complex) -> int:
 def coherent_amplitudes(alpha: complex, n_trunc: int) -> np.ndarray:
     """Unnormalized coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
-    Built from exp(log magnitude) times a unit phase so large |alpha| and
+    Built as exp(n log alpha - log(n!)/2 - |alpha|^2/2) so large |alpha| and
     large n stay finite.
     """
-    n = np.arange(n_trunc)
     mu = abs(alpha) ** 2
     if mu == 0.0:
         amps = np.zeros(n_trunc, dtype=np.complex128)
         amps[0] = 1.0
         return amps
-    log_mag = n * math.log(abs(alpha)) - 0.5 * gammaln(n + 1.0) - 0.5 * mu
-    phase = n * np.angle(alpha)
-    return np.exp(log_mag + 1j * phase)
+    return np.exp(np.arange(n_trunc) * cmath.log(alpha)
+                  - 0.5 * (log_factorial(n_trunc) + mu))
 
 
 def coherent_state(alpha: complex, n_trunc: int | None = None) -> FockState:

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .fock import (
     FockOperator,
     FockState,
-    TruncationError,
     coherent_amplitudes,
+    coherent_state,
     default_truncation,
-    poisson_tail,
 )
 
 __all__ = [
@@ -60,18 +57,9 @@ def kerr_state(params: KerrStateParams, n_trunc: int | None = None) -> FockState
     TruncationError
         If the Poisson tail beyond n_trunc exceeds 1e-12.
     """
-    if n_trunc is None:
-        n_trunc = default_truncation(params.beta)
-    tail = poisson_tail(abs(params.beta) ** 2, n_trunc)
-    if tail >= 1e-12:
-        raise TruncationError(
-            f"n_trunc={n_trunc} leaves tail mass {tail:.3e} >= 1e-12 "
-            f"for |beta|^2={abs(params.beta)**2:.6g}")
-    n = np.arange(n_trunc)
-    amps = coherent_amplitudes(params.beta, n_trunc) \
-        * np.exp(-1j * params.xi * n ** 2)
-    amps /= np.linalg.norm(amps)
-    return FockState(amps, normalized=True, renormalized=True)
+    amps = coherent_state(params.beta, n_trunc).amplitudes
+    kerr_phase = np.exp(-1j * params.xi * np.arange(amps.size) ** 2)
+    return FockState(amps * kerr_phase, normalized=True, renormalized=True)
 
 
 def deformed_ladder(xi: float, n_trunc: int) -> FockOperator:
@@ -87,6 +75,7 @@ def deformed_ladder(xi: float, n_trunc: int) -> FockOperator:
 
 def modified_displacement(params: KerrStateParams, n_trunc: int) -> FockOperator:
     """exp(beta B^dag - conj(beta) B); applied to vacuum it builds the state."""
+    from scipy.linalg import expm  # lazy: slow import
     b = deformed_ladder(params.xi, n_trunc).matrix
     return FockOperator(expm(params.beta * b.conj().T
                              - np.conj(params.beta) * b))
@@ -97,13 +86,7 @@ def excitation_distribution(params: KerrStateParams,
     """Poisson probabilities P(n) = e^{-|b|^2} |b|^{2n} / n!; xi drops out."""
     if n_trunc is None:
         n_trunc = default_truncation(params.beta)
-    mu = abs(params.beta) ** 2
-    n = np.arange(n_trunc)
-    if mu == 0.0:
-        p = np.zeros(n_trunc)
-        p[0] = 1.0
-        return p
-    return np.exp(n * math.log(mu) - gammaln(n + 1.0) - mu)
+    return np.abs(coherent_amplitudes(params.beta, n_trunc)) ** 2
 
 
 def quadrature_variance_ratios(params: KerrStateParams) -> tuple[float, float]:

@@ -13,11 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks, medfilt
-from scipy.special import gammaln
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .evolution import ModelParams, WeiNormanSolution, evolved_state
-from .fock import FockState
+from .evolution import (
+    ModelParams,
+    WeiNormanSolution,
+    _evolved_amplitudes,
+    evolved_state,
+)
+from .fock import FockState, coherent_amplitudes, log_factorial
 
 __all__ = [
     "AutocorrSeries",
@@ -65,40 +69,20 @@ class AutocorrSeries:
                               revival_times=detect_revivals(self, threshold))
 
 
-def _series_terms(alpha: complex, eta: complex, omega0t: float,
-                  xi: float) -> complex:
-    """Sum_n e^{-i xi n^2} x^n / n! with x = e^{-i omega0 t} conj(alpha) eta.
-
-    Terms are added until the Poisson tail of |x| drops below 1e-12.
-    """
-    x = np.exp(-1j * omega0t) * np.conj(alpha) * eta
-    mag = abs(x)
-    if mag == 0.0:
-        return 1.0 + 0.0j
-    # Poisson-style tail bound: stop once remaining mass is negligible.
-    n_top = int(math.ceil(mag + 12.0 * math.sqrt(mag + 1.0) + 20.0))
-    n = np.arange(n_top)
-    log_mag = n * math.log(mag) - gammaln(n + 1.0)
-    phases = n * np.angle(x) - xi * n ** 2
-    return complex(np.sum(np.exp(log_mag + 1j * phases)))
-
-
 def autocorrelation(params: ModelParams, sol: WeiNormanSolution,
                     t: float) -> complex:
     """Overlap F(t) = <alpha|psi(t)> summed from the closed-form amplitudes.
 
     Carries the exact global phase of the evolved state (from X1 and X3) so
     the value equals the inner product of the state vectors, not only in
-    modulus.
+    modulus.  The terms (conj(alpha) eta_t)^n / n! of the sum peak near
+    n = |alpha eta_t| and are summed until their Poisson tail is below 1e-12.
     """
-    alpha = params.alpha
     eta = sol.eta_at(t)
-    xi = params.chi * t
-    g_phase = (sol.x1_at(t) + sol.x3_at(t) * alpha).imag \
-        - 0.5 * params.omega0 * t
-    prefactor = math.exp(-0.5 * (abs(alpha) ** 2 + abs(eta) ** 2))
-    series = _series_terms(alpha, eta, params.omega0 * t, xi)
-    return complex(np.exp(1j * g_phase) * prefactor * series)
+    mag = abs(params.alpha * eta)
+    n_top = int(math.ceil(mag + 12.0 * math.sqrt(mag + 1.0) + 20.0))
+    return complex(np.vdot(coherent_amplitudes(params.alpha, n_top),
+                           _evolved_amplitudes(params, sol, t, eta, n_top)))
 
 
 def autocorrelation_series(params: ModelParams, sol: WeiNormanSolution,
@@ -121,9 +105,28 @@ def detect_revivals(series: AutocorrSeries, threshold: float) -> np.ndarray:
         raise ValueError("series too short for extremum detection")
     signal = series.abs_squared
     if signal.size >= 5:
-        signal = medfilt(signal, kernel_size=5)
-    peaks, _ = find_peaks(signal, height=threshold)
-    return series.times[peaks]
+        signal = _median5(signal)
+    return series.times[_find_peaks(signal, threshold)]
+
+
+def _median5(x: np.ndarray) -> np.ndarray:
+    """5-point running median with zero padding at both ends."""
+    return np.median(sliding_window_view(np.pad(x, 2), 5), axis=1)
+
+
+def _find_peaks(x: np.ndarray, height: float) -> np.ndarray:
+    """Indices of the local maxima of x at or above `height`.
+
+    A flat top, as the median filter makes, counts once at its middle sample
+    (the left one of an even pair), and never at either end of x.
+    """
+    edges = np.flatnonzero(np.diff(x))
+    starts = np.concatenate(([0], edges + 1))
+    ends = np.concatenate((edges, [x.size - 1]))
+    top = x[starts]
+    k = 1 + np.flatnonzero((top[1:-1] > top[:-2]) & (top[1:-1] > top[2:]))
+    mid = (starts[k] + ends[k]) // 2
+    return mid[x[mid] >= height]
 
 
 @dataclass(frozen=True)
@@ -183,7 +186,7 @@ def husimi_grid(state: FockState, x_range: tuple[float, float],
     y = np.linspace(y_range[0], y_range[1], ny)
     gamma = (x[None, :] + 1j * y[:, None]).ravel()
     n = np.arange(state.n_trunc)
-    log_fact = 0.5 * gammaln(n + 1.0)
+    log_fact = 0.5 * log_factorial(state.n_trunc)
     q_flat = np.empty(gamma.size)
     for start in range(0, gamma.size, chunk):
         g = gamma[start:start + chunk]

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .driven import FrequencySpec
 from .fock import FockState
@@ -29,11 +27,9 @@ from .integrators import adaptive_simpson
 
 __all__ = [
     "MassSpec",
-    "ReparamResult",
     "HeisenbergQP",
     "rescaled_time",
     "physical_time",
-    "reparametrize",
     "transformed_frequency",
     "energy_level",
     "heisenberg_coefficients",
@@ -76,6 +72,7 @@ class MassSpec:
             raise ValueError("tabulated mass times must increase strictly")
         if np.any(values <= 0.0):
             raise ValueError("mass samples must be positive")
+        from scipy.interpolate import PchipInterpolator  # lazy: slow import
         return cls(kind="tabulated", times=times, values=values,
                    _interp=PchipInterpolator(times, values))
 
@@ -133,6 +130,7 @@ def physical_time(mass: MassSpec, tau: float) -> float:
             raise ValueError(f"tau={tau} beyond the reachable horizon "
                              f"{1.0 / (mass.rate * mass.m0):.6g}")
         return -math.log(arg) / mass.rate
+    from scipy.optimize import brentq  # lazy: slow import
     hi = mass.times[-1]
     if rescaled_time(mass, hi) < tau:
         raise ValueError("tau beyond the tabulated window")
@@ -140,27 +138,10 @@ def physical_time(mass: MassSpec, tau: float) -> float:
                   xtol=1e-13, rtol=1e-13)
 
 
-@dataclass(frozen=True)
-class ReparamResult:
-    """Bundle of the time map and the transformed-frequency function."""
-
-    tau_of_t: Callable[[float], float]
-    t_of_tau: Callable[[float], float]
-    omega_star: Callable[[float], float]
-
-
 def transformed_frequency(mass: MassSpec, frequency: FrequencySpec,
                           t: float) -> float:
     """omega(t) = m(t) Omega(t), the constant-mass-picture frequency."""
     return mass(t) * frequency(t)
-
-
-def reparametrize(mass: MassSpec, frequency: FrequencySpec) -> ReparamResult:
-    return ReparamResult(
-        tau_of_t=lambda t: rescaled_time(mass, t),
-        t_of_tau=lambda tau: physical_time(mass, tau),
-        omega_star=lambda t: transformed_frequency(mass, frequency, t),
-    )
 
 
 def energy_level(n: int, frequency: FrequencySpec, t: float) -> float:

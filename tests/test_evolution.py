@@ -33,8 +33,9 @@ class TestModelParams:
         assert cosine_params(1.0, 0.25).nu == 0.75
 
     def test_strong_kerr_warns(self):
-        with pytest.warns(UserWarning, match="weak-nonlinearity"):
+        with pytest.warns(UserWarning, match="weak-nonlinearity") as rec:
             ModelParams(omega0=1.0, chi=0.8)
+        assert rec[0].filename == __file__
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):

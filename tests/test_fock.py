@@ -17,6 +17,7 @@ from kerrosc.fock import (
     expectation,
     identity_operator,
     inner,
+    log_factorial,
     number_operator,
     number_state,
     poisson_tail,
@@ -159,6 +160,39 @@ class TestHelpers:
         mu, cut = 4.0, 15
         direct = sum(poisson_pmf(mu, n) for n in range(cut, 200))
         assert abs(poisson_tail(mu, cut) - direct) < 1e-13
+
+    def test_poisson_tail_matches_scipy_gammainc(self):
+        # scipy is an independent reference here only; kerrosc never loads it
+        from scipy.special import gammainc
+
+        for mu in np.geomspace(1e-3, 300.0, 41):
+            n = np.arange(int(mu + 20.0 * math.sqrt(mu) + 40.0) + 1)
+            ours = np.array([poisson_tail(mu, int(k)) for k in n])
+            np.testing.assert_allclose(ours, gammainc(n, mu), rtol=1e-10,
+                                       atol=0.0, err_msg=f"mean {mu}")
+
+    def test_log_factorial_matches_scipy_gammaln(self):
+        from scipy.special import gammaln
+
+        np.testing.assert_allclose(log_factorial(500),
+                                   gammaln(np.arange(500) + 1.0),
+                                   rtol=1e-12, atol=0.0)
+        assert log_factorial(0).size == 0
+        with pytest.raises(ValueError):
+            log_factorial(10)[3] = 0.0
+
+    def test_minimal_accepted_truncation_unchanged(self):
+        # the smallest basis coherent_state accepts is the one the
+        # incomplete-gamma tail (scipy's gammainc) puts under 1e-12
+        from scipy.special import gammainc
+
+        n = np.arange(1, 400)
+        for mag in np.linspace(0.0, 15.0, 151):
+            n_min = int(n[np.argmax(gammainc(n, mag ** 2) < 1e-12)])
+            coherent_state(mag, n_min)
+            if n_min > 1:
+                with pytest.raises(TruncationError):
+                    coherent_state(mag, n_min - 1)
 
     def test_inner_conjugates_first_argument(self):
         s1 = coherent_state(1.0, 25)

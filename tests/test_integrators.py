@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -29,6 +30,23 @@ class TestAdaptiveIntegrator:
                                        np.array([1.0 + 0j]), 0.0, 8.0, tol)
             errs.append(abs(ys[-1, 0] - np.exp(1j * w * 8.0)))
         assert errs[0] / errs[1] >= 4.0
+
+    def test_budget_floor_reported_at_debug(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="kerrosc")
+
+        def floor_records(tol):
+            caplog.clear()
+            integrate_adaptive(lambda t, y: 1j * y, np.array([1.0 + 0j]),
+                               0.0, 1.0, tol)
+            return [r for r in caplog.records if "floor" in r.getMessage()]
+
+        recs = floor_records(1e-8)
+        assert len(recs) == 1
+        assert recs[0].levelno == logging.DEBUG
+        assert recs[0].name.startswith("kerrosc")
+        assert "1e-16" in recs[0].getMessage()
+        assert "1e-13" in recs[0].getMessage()
+        assert floor_records(1e-4) == []
 
     def test_zero_rhs_is_exact(self):
         ts = np.linspace(0.0, 5.0, 7)

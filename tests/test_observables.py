@@ -1,14 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kerrosc.config import load_config
 from kerrosc.driven import DriveSpec
 from kerrosc.evolution import ModelParams, evolved_state, integrate_wei_norman
 from kerrosc.fock import coherent_state, inner
 from kerrosc.kerr_states import KerrStateParams, kerr_state
 from kerrosc.observables import (
     AutocorrSeries,
+    _find_peaks,
+    _median5,
     autocorrelation,
     autocorrelation_series,
     detect_revivals,
@@ -89,6 +93,47 @@ class TestDetectRevivals:
         tagged = ser.with_revivals(0.5)
         assert tagged.revival_times is not None and tagged.revival_times.size
         np.testing.assert_allclose(tagged.values, ser.values)
+
+    @pytest.mark.filterwarnings("ignore:chi/omega0")
+    @pytest.mark.parametrize("name", ["autocorr_kerr_free",
+                                      "autocorr_kerr_quarter",
+                                      "autocorr_kerr_unit"])
+    def test_filter_and_peaks_match_scipy_on_scenarios(self, name):
+        # scipy.signal is an independent reference here; kerrosc never
+        # loads it
+        from scipy.signal import find_peaks, medfilt
+
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        cfg = load_config(str(scenarios / f"{name}.yaml"))
+        p = ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=cfg.drive(),
+                        alpha=cfg.alpha)
+        sol = integrate_wei_norman(p, cfg.t_end, tol=cfg.tolerance,
+                                   samples=cfg.samples)
+        raw = autocorrelation_series(p, sol).abs_squared
+        smooth = _median5(raw)
+        np.testing.assert_array_equal(smooth, medfilt(raw, kernel_size=5))
+        for height in (cfg.revival_threshold, 0.0, 0.1, 0.9):
+            for sig in (raw, smooth):
+                np.testing.assert_array_equal(
+                    _find_peaks(sig, height), find_peaks(sig, height=height)[0])
+
+    def test_filter_and_peaks_match_scipy_on_plateaus(self):
+        from scipy.signal import find_peaks, medfilt
+
+        rng = np.random.default_rng(3)
+        for size in list(range(1, 12)) + [50, 200, 1000] * 10:
+            raw = rng.integers(0, 4, size=size).astype(float)
+            sigs = [raw, np.repeat(raw, rng.integers(1, 4, size=size))]
+            if size >= 5:
+                smooth = _median5(raw)
+                np.testing.assert_array_equal(smooth,
+                                              medfilt(raw, kernel_size=5))
+                sigs.append(smooth)
+            for sig in sigs:
+                for height in (0.0, 1.0, 2.5):
+                    np.testing.assert_array_equal(
+                        _find_peaks(sig, height),
+                        find_peaks(sig, height=height)[0])
 
     def test_threshold_validation_and_short_series(self):
         ser = AutocorrSeries(times=np.array([0.0, 1.0]),

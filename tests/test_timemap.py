@@ -15,7 +15,6 @@ from kerrosc.timemap import (
     evolve_via_timemap,
     heisenberg_coefficients,
     physical_time,
-    reparametrize,
     rescaled_time,
     transformed_frequency,
 )
@@ -219,15 +218,6 @@ class TestEvolveViaTimemap:
         mapped = evolve_via_timemap(
             psi0, mass, _constant_mass_evolver(mass, freq, n), t_end)
         assert fidelity(mapped, direct) >= 1.0 - 1e-8
-
-    def test_reparametrize_bundle_round_trips(self):
-        mass = MassSpec.exponential(1.0, 0.4)
-        freq = FrequencySpec(1.5)
-        rep = reparametrize(mass, freq)
-        t = 1.8
-        assert abs(rep.t_of_tau(rep.tau_of_t(t)) - t) < 1e-12
-        assert rep.omega_star(t) == pytest.approx(
-            transformed_frequency(mass, freq, t))
 
 
 class TestSymplecticProperty:
