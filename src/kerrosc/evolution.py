@@ -13,6 +13,7 @@ Two approximate branches for H = Omega0 (n + 1/2) + chi n^2
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .fock import (
     default_truncation,
     poisson_tail,
 )
-from .integrators import integrate_adaptive
+from .integrators import _BUDGET_FLOOR, StepSizeError, integrate_adaptive
 
 __all__ = [
     "ModelParams",
@@ -40,6 +41,9 @@ __all__ = [
 ]
 
 SAMPLES_PER_PERIOD = 2000
+_GL_NODES = 8  # Gauss-Legendre nodes per Wei-Norman quadrature panel
+_MAX_PANELS = 1 << 10  # per output interval; StepSizeError past it
+_CHUNK_NODES = 1 << 14  # drive samples per evaluation
 
 
 @dataclass(frozen=True)
@@ -164,11 +168,13 @@ def drive_coefficient(params: ModelParams, t) -> complex:
 
 @dataclass(frozen=True)
 class WeiNormanSolution:
-    """Sampled trajectories of the factorization coefficients X1, X2, X3.
+    """Factorization coefficients X1, X2, X3 sampled on an output grid.
 
     eta(t) = X2(t) + alpha is the displaced coherent amplitude of the evolved
-    state; xi(t) = chi t its Kerr phase.  Values between grid samples are
-    interpolated linearly in the complex plane.
+    state.  The `*_at` methods take a time or an array of times: stored values
+    on the grid, else one panel set from the grid point below, refined to the
+    1e-13 budget floor, at least as tight as any solve, so no value depends on
+    the grid.
     """
 
     params: ModelParams
@@ -187,29 +193,33 @@ class WeiNormanSolution:
     def eta(self) -> np.ndarray:
         return self.x2 + self.params.alpha
 
-    def xi(self, t: float) -> float:
-        return self.params.chi * t
-
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
-    def _interp(self, series: np.ndarray, t: float) -> complex:
-        if not self.times[0] <= t <= self.times[-1] + 1e-12:
+    def _at(self, t):
+        """(X1, X2, X3) at t: complex for a scalar t, else shaped like t."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+        if ts.size and not (self.times[0] <= ts.min()
+                            and ts.max() <= self.times[-1] + 1e-12):
             raise ValueError(f"t={t} outside the solution window "
                              f"[{self.times[0]}, {self.times[-1]}]")
-        re = np.interp(t, self.times, series.real)
-        im = np.interp(t, self.times, series.imag)
-        return complex(re, im)
+        k = np.searchsorted(self.times, ts, side="right") - 1
+        x = np.stack([self.x1[k], self.x2[k], self.x3[k]])
+        off = self.times[k] != ts
+        if off.any():
+            g0 = 1j * x[2, off]  # G = i X3
+            d_g, d_q = _increments(self.params, self.times[k[off]], ts[off],
+                                   _BUDGET_FLOOR)
+            x[:, off] = _coefficients(
+                g0 + d_g, x[0, off].imag - (g0.conj() * d_g + d_q).imag)
+        return tuple(complex(v[0]) if np.ndim(t) == 0
+                     else v.reshape(np.shape(t)) for v in x)
 
-    def x1_at(self, t: float) -> complex:
-        return self._interp(self.x1, t)
+    def x1_at(self, t):
+        return self._at(t)[0]
 
-    def x3_at(self, t: float) -> complex:
-        return self._interp(self.x3, t)
+    def x3_at(self, t):
+        return self._at(t)[2]
 
-    def eta_at(self, t: float) -> complex:
-        return self._interp(self.x2, t) + self.params.alpha
+    def eta_at(self, t):
+        return self._at(t)[1] + self.params.alpha
 
 
 def _default_samples(params: ModelParams, t_end: float) -> int:
@@ -221,10 +231,74 @@ def _default_samples(params: ModelParams, t_end: float) -> int:
     return min(max(n, 1001), 200_001)
 
 
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], and the matrix whose row j
+    integrates the interpolant of the node values from 0 to node j."""
+    from numpy.polynomial import legendre  # lazy: not loaded by numpy
+    x, w = legendre.leggauss(_GL_NODES)
+    to_node = legendre.legval(x, legendre.legint(np.eye(_GL_NODES), lbnd=-1))
+    matrix = np.linalg.solve(legendre.legvander(x, _GL_NODES - 1).T, to_node)
+    rule = (0.5 * (x + 1.0), 0.5 * w, 0.5 * matrix.T)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
+def _increments(params: ModelParams, starts: np.ndarray, ends: np.ndarray,
+                budget: float) -> np.ndarray:
+    """Integrals of g and of g conj(G - G(start)) over each [start, end].
+
+    Each interval is cut into equal 8-node Gauss-Legendre panels, doubled
+    until both integrals move by at most `budget` per unit time, or relative
+    to their size where that is larger; the finer values are kept.  In-panel
+    partial integrals of g come from the integration matrix, so they cost no
+    extra drive evaluations.
+    """
+    nodes, weights, matrix = _legendre_rule()
+    spans = ends - starts
+    out = np.empty((2, spans.size), dtype=np.complex128)
+    todo, coarse, panels = np.arange(spans.size), None, 1
+    while todo.size:
+        if panels > _MAX_PANELS:
+            t = float(starts[todo[0]])
+            raise StepSizeError(f"quadrature budget missed at t={t:.6g}", t)
+        fine = np.empty((2, todo.size), dtype=np.complex128)
+        block = max(1, _CHUNK_NODES // (panels * _GL_NODES))
+        for lo in range(0, todo.size, block):
+            idx = todo[lo:lo + block]
+            h = (spans[idx] / panels)[:, None, None]
+            gh = h * drive_coefficient(params, starts[idx, None, None] + h
+                                       * (np.arange(panels)[:, None] + nodes))
+            panel = gh @ weights
+            partial = (np.cumsum(panel, axis=1) - panel)[..., None] \
+                + gh @ matrix.T
+            fine[:, lo:lo + block] = (panel.sum(axis=1),
+                                      (gh * partial.conj()).sum(axis=1)
+                                      @ weights)
+        if coarse is not None:
+            done = (np.abs(fine - coarse)
+                    <= budget * np.maximum(spans[todo], np.abs(fine))).all(0)
+            out[:, todo[done]] = fine[:, done]
+            todo, fine = todo[~done], fine[:, ~done]
+        coarse, panels = fine, 2 * panels
+    return out
+
+
+def _coefficients(big_g, im_x1) -> np.ndarray:
+    """(X1, X2, X3) from G = integral of g and Im X1; Re X1 = -|G|^2 / 2."""
+    return np.stack([-0.5 * np.abs(big_g) ** 2 + 1j * im_x1,
+                     -1j * big_g.conj(), -1j * big_g])
+
+
 def integrate_wei_norman(params: ModelParams, t_end: float,
                          tol: float = 1e-10,
                          samples: int | None = None) -> WeiNormanSolution:
-    """Integrate the factorization ODEs dX1 = dX3 X2, dX2 = -i conj(g), dX3 = -i g.
+    """Solve the factorization ODEs dX1 = dX3 X2, dX2 = -i conj(g), dX3 = -i g.
+
+    They are integrals: with G(t) that of g from 0 to t, X3 = -i G,
+    X2 = -i conj(G), Re X1 = -|G|^2 / 2 exactly and Im X1 = -Im of the
+    integral of g conj(G), both on Gauss-Legendre panels.
 
     Parameters
     ----------
@@ -232,7 +306,10 @@ def integrate_wei_norman(params: ModelParams, t_end: float,
     t_end : float
         End of the integration window (starts at 0, all X vanish there).
     tol : float
-        Local error budget per unit step for the adaptive stepper.
+        Error budget: the panels of an output interval double until its
+        integrals move by at most max(tol**2, 1e-13) per unit time, or
+        relative to their size where that is larger, as the budget of
+        `integrate_adaptive` is relative to the state norm above one.
     samples : int, optional
         Number of equidistant output samples; defaults to 2000 per drive
         period, clipped to [1001, 200001].
@@ -240,7 +317,8 @@ def integrate_wei_norman(params: ModelParams, t_end: float,
     Raises
     ------
     StepSizeError
-        On step-size underflow, reporting the failure time.
+        If an interval still misses the budget at 1024 panels, reporting
+        the interval's start time.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be non-negative")
@@ -251,19 +329,14 @@ def integrate_wei_norman(params: ModelParams, t_end: float,
     if samples < 2:
         raise ValueError("need at least two output samples")
     times = np.linspace(0.0, t_end, samples)
-
-    def rhs(s, y):
-        g = drive_coefficient(params, s)
-        dx3 = -1j * g
-        return np.array([dx3 * y[1], -1j * np.conj(g), dx3])
-
-    if t_end == 0.0:
-        ys = np.zeros((samples, 3), dtype=np.complex128)
-    else:
-        _, ys = integrate_adaptive(rhs, np.zeros(3, dtype=np.complex128),
-                                   0.0, t_end, tol, sample_times=times)
-    return WeiNormanSolution(params=params, times=times,
-                             x1=ys[:, 0], x2=ys[:, 1], x3=ys[:, 2])
+    d_g, d_q = _increments(params, times[:-1], times[1:],
+                           max(tol * tol, _BUDGET_FLOOR))
+    big_g = np.concatenate(([0.0], np.cumsum(d_g)))
+    # Im X1 gains Im(conj(G(t_k)) dG_k + dQ_k) over interval k, negated
+    im_x1 = -np.concatenate(
+        ([0.0], np.cumsum((big_g[:-1].conj() * d_g + d_q).imag)))
+    x1, x2, x3 = _coefficients(big_g, im_x1)
+    return WeiNormanSolution(params=params, times=times, x1=x1, x2=x2, x3=x3)
 
 
 def evolved_state(params: ModelParams, sol: WeiNormanSolution, t: float,
@@ -279,7 +352,8 @@ def evolved_state(params: ModelParams, sol: WeiNormanSolution, t: float,
     TruncationError
         If the Poisson tail of |eta_t|^2 beyond n_trunc exceeds 1e-9.
     """
-    eta = sol.eta_at(t)
+    x1, x2, x3 = sol._at(t)
+    eta = x2 + params.alpha
     if n_trunc is None:
         n_trunc = default_truncation(eta)
     tail = poisson_tail(abs(eta) ** 2, n_trunc)
@@ -287,17 +361,21 @@ def evolved_state(params: ModelParams, sol: WeiNormanSolution, t: float,
         raise TruncationError(
             f"n_trunc={n_trunc} leaves tail mass {tail:.3e} > 1e-9 "
             f"for |eta|^2={abs(eta)**2:.6g}")
-    amps = _evolved_amplitudes(params, sol, t, eta, n_trunc)
+    amps = _evolved_amplitudes(params, t, x1, x3, eta, n_trunc)
     amps /= np.linalg.norm(amps)
     return FockState(amps, normalized=True, renormalized=True)
 
 
-def _evolved_amplitudes(params: ModelParams, sol: WeiNormanSolution,
-                        t: float, eta: complex, n_trunc: int) -> np.ndarray:
-    """The c_n of `evolved_state` before renormalization; eta = eta_t."""
-    g_phase = (sol.x1_at(t) + sol.x3_at(t) * params.alpha).imag \
+def _evolved_amplitudes(params: ModelParams, t, x1, x3, eta,
+                        n_trunc: int) -> np.ndarray:
+    """The c_n of `evolved_state` before renormalization.
+
+    t and the coefficients X1, X3, eta at t may be arrays of one shape; the
+    levels then run along a new last axis.
+    """
+    t = np.asarray(t)[..., None]
+    g_phase = np.asarray(x1 + x3 * params.alpha).imag[..., None] \
         - 0.5 * params.omega0 * t
-    n = np.arange(n_trunc)
-    rotated = np.exp(-1j * params.omega0 * t) * eta
-    return coherent_amplitudes(rotated, n_trunc) \
-        * np.exp(1j * (g_phase - params.chi * t * n ** 2))
+    rotated = np.exp(-1j * params.omega0 * t[..., 0]) * eta
+    return coherent_amplitudes(rotated, n_trunc) * np.exp(
+        1j * (g_phase - params.chi * t * np.arange(n_trunc) ** 2))

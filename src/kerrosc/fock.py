@@ -9,7 +9,6 @@ do not overflow the factorials.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -197,19 +196,20 @@ def default_truncation(alpha: complex) -> int:
     return int(math.ceil(mu + 10.0 * math.sqrt(mu + 1.0) + 10.0))
 
 
-def coherent_amplitudes(alpha: complex, n_trunc: int) -> np.ndarray:
+def coherent_amplitudes(alpha, n_trunc: int) -> np.ndarray:
     """Unnormalized coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
     Built as exp(n log alpha - log(n!)/2 - |alpha|^2/2) so large |alpha| and
-    large n stay finite.
+    large n stay finite.  An array of amplitudes gives one row each, with the
+    levels along a new last axis.
     """
-    mu = abs(alpha) ** 2
-    if mu == 0.0:
-        amps = np.zeros(n_trunc, dtype=np.complex128)
-        amps[0] = 1.0
-        return amps
-    return np.exp(np.arange(n_trunc) * cmath.log(alpha)
-                  - 0.5 * (log_factorial(n_trunc) + mu))
+    alpha = np.asarray(alpha, dtype=np.complex128)[..., None]
+    mag = np.abs(alpha)
+    # log|alpha| = -1000 at alpha = 0: every n >= 1 term underflows to
+    # exactly 0 and the n = 0 term stays 1.
+    log_mag = np.log(mag, out=np.full(mag.shape, -1e3), where=mag > 0.0)
+    return np.exp(np.arange(n_trunc) * (log_mag + 1j * np.angle(alpha))
+                  - 0.5 * (log_factorial(n_trunc) + mag ** 2))
 
 
 def coherent_state(alpha: complex, n_trunc: int | None = None) -> FockState:

@@ -1,7 +1,9 @@
 """Adaptive step-size ODE integration and quadrature shared by the solvers.
 
 The exact oracle (`kerrosc.oracle.integrate_exact`) has its own unitary
-split-step propagator and does not use this stepper.
+split-step propagator, and the Wei-Norman solve
+(`kerrosc.evolution.integrate_wei_norman`) is Gauss-Legendre quadrature
+under this stepper's budget rule and floor; neither uses the stepper.
 
 The embedded Dormand-Prince 5(4) pair propagates complex state vectors with
 an error-per-unit-step budget of tol**2, floored at 1e-13 near the rounding

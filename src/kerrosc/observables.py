@@ -21,7 +21,7 @@ from .evolution import (
     _evolved_amplitudes,
     evolved_state,
 )
-from .fock import FockState, coherent_amplitudes, log_factorial
+from .fock import FockState, coherent_amplitudes
 
 __all__ = [
     "AutocorrSeries",
@@ -35,7 +35,7 @@ __all__ = [
     "find_grid_peaks",
 ]
 
-_TAIL_EPS = 1e-12
+_CHUNK = 1024  # time points or grid cells per amplitude matrix
 
 
 @dataclass(frozen=True)
@@ -71,26 +71,38 @@ class AutocorrSeries:
 
 def autocorrelation(params: ModelParams, sol: WeiNormanSolution,
                     t: float) -> complex:
-    """Overlap F(t) = <alpha|psi(t)> summed from the closed-form amplitudes.
-
-    Carries the exact global phase of the evolved state (from X1 and X3) so
-    the value equals the inner product of the state vectors, not only in
-    modulus.  The terms (conj(alpha) eta_t)^n / n! of the sum peak near
-    n = |alpha eta_t| and are summed until their Poisson tail is below 1e-12.
-    """
-    eta = sol.eta_at(t)
-    mag = abs(params.alpha * eta)
-    n_top = int(math.ceil(mag + 12.0 * math.sqrt(mag + 1.0) + 20.0))
-    return complex(np.vdot(coherent_amplitudes(params.alpha, n_top),
-                           _evolved_amplitudes(params, sol, t, eta, n_top)))
+    """Overlap F(t) = <alpha|psi(t)>: a one-point `autocorrelation_series`."""
+    return complex(autocorrelation_series(params, sol, np.array([t]))
+                   .values[0])
 
 
 def autocorrelation_series(params: ModelParams, sol: WeiNormanSolution,
                            times: np.ndarray | None = None) -> AutocorrSeries:
+    """F(t) = <alpha|psi(t)> at `times`, default the solution grid.
+
+    Summed from the closed-form amplitudes, so F carries the exact global
+    phase of the evolved state (from X1 and X3) and equals the inner product
+    of the state vectors, not only in modulus.  The terms
+    (conj(alpha) eta_t)^n / n! peak near n = |alpha eta_t|; each block of
+    1024 times is one amplitude matrix, summed to the largest n_top any of
+    them needs, where their Poisson tail is below 1e-12.
+    """
     if times is None:
-        times = sol.times
-    values = np.array([autocorrelation(params, sol, float(t)) for t in times])
-    return AutocorrSeries(times=np.asarray(times, dtype=float), values=values)
+        times, xs = sol.times, (sol.x1, sol.x2, sol.x3)
+    else:
+        times = np.asarray(times, dtype=float)
+        xs = sol._at(times)  # one quadrature for all three
+    values = np.empty(times.shape, dtype=np.complex128)
+    for start in range(0, times.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        x1, x2, x3 = (x[part] for x in xs)
+        eta = x2 + params.alpha
+        mag = float(np.max(np.abs(params.alpha * eta)))
+        n_top = int(math.ceil(mag + 12.0 * math.sqrt(mag + 1.0) + 20.0))
+        values[part] = _evolved_amplitudes(params, times[part], x1, x3, eta,
+                                           n_top) \
+            @ coherent_amplitudes(params.alpha, n_top).conj()
+    return AutocorrSeries(times=times, values=values)
 
 
 def detect_revivals(series: AutocorrSeries, threshold: float) -> np.ndarray:
@@ -162,7 +174,7 @@ class PhaseSpaceGrid:
 def husimi_grid(state: FockState, x_range: tuple[float, float],
                 y_range: tuple[float, float], resolution: int | tuple[int, int],
                 time: float | None = None,
-                chunk: int = 8192) -> PhaseSpaceGrid:
+                chunk: int = _CHUNK) -> PhaseSpaceGrid:
     """Husimi function Q(gamma) = |<gamma|psi>|^2 / pi on a rectangular grid.
 
     Parameters
@@ -185,19 +197,11 @@ def husimi_grid(state: FockState, x_range: tuple[float, float],
     x = np.linspace(x_range[0], x_range[1], nx)
     y = np.linspace(y_range[0], y_range[1], ny)
     gamma = (x[None, :] + 1j * y[:, None]).ravel()
-    n = np.arange(state.n_trunc)
-    log_fact = 0.5 * log_factorial(state.n_trunc)
     q_flat = np.empty(gamma.size)
     for start in range(0, gamma.size, chunk):
-        g = gamma[start:start + chunk]
-        mag = np.abs(g)
-        # Clamping avoids -inf * 0 at the n = 0 term of an on-axis node;
-        # exp underflows to exactly zero for every n >= 1 anyway.
-        log_mag = np.log(np.maximum(mag, 1e-300))
-        # <gamma|psi> = sum_n conj(c^gamma_n) psi_n, built in log space.
-        exponent = (log_mag[:, None] - 1j * np.angle(g)[:, None]) * n[None, :] \
-            - log_fact[None, :] - 0.5 * (mag ** 2)[:, None]
-        overlap = np.exp(exponent) @ state.amplitudes
+        # <gamma|psi> = sum_n conj(c^gamma_n) psi_n, the conjugate of this
+        overlap = coherent_amplitudes(gamma[start:start + chunk],
+                                      state.n_trunc) @ state.amplitudes.conj()
         q_flat[start:start + chunk] = np.abs(overlap) ** 2 / math.pi
     return PhaseSpaceGrid(x=x, y=y, values=q_flat.reshape(ny, nx), time=time)
 

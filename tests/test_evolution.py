@@ -21,6 +21,7 @@ from kerrosc.fock import (
     number_state,
     poisson_tail,
 )
+from kerrosc.integrators import StepSizeError
 
 
 def cosine_params(omega0=1.0, chi=0.0, alpha=0.0):
@@ -153,6 +154,59 @@ class TestWeiNorman:
         sol = integrate_wei_norman(p, 1.0, tol=1e-10)
         with pytest.raises(ValueError):
             sol.eta_at(2.0)
+
+    def test_off_grid_time_matches_a_grid_containing_it(self):
+        # fig. 2 model; t lies between grid points 397 and 398
+        p = cosine_params(omega0=1.0, chi=0.25, alpha=3.0)
+        sol = integrate_wei_norman(p, 8 * math.pi, samples=1001)
+        t = 0.3 * sol.times[397] + 0.7 * sol.times[398]
+        on_grid = integrate_wei_norman(p, t, samples=400)
+        assert abs(sol.eta_at(t) - on_grid.eta[-1]) < 1e-12
+        assert abs(sol.x1_at(t) - on_grid.x1[-1]) < 1e-12
+        assert abs(sol.x3_at(t) - on_grid.x3[-1]) < 1e-12
+        np.testing.assert_allclose(
+            evolved_state(p, sol, t, 70).amplitudes,
+            evolved_state(p, on_grid, t, 70).amplitudes, rtol=0, atol=1e-12)
+
+    def test_vectorized_at_matches_scalar_calls(self):
+        p = cosine_params(omega0=1.0, chi=0.25, alpha=3.0)
+        sol = integrate_wei_norman(p, 3.0, samples=31)
+        ts = np.array([[0.0, 0.05, 1.0], [1.234, 2.9999, 3.0]])
+        for method in (sol.x1_at, sol.x3_at, sol.eta_at):
+            values = method(ts)
+            assert values.shape == ts.shape
+            np.testing.assert_allclose(
+                values, [[method(float(t)) for t in row] for row in ts],
+                rtol=0, atol=1e-15)
+
+    def test_two_samples_match_the_default_grid(self):
+        # refinement, not the output grid, sets the accuracy
+        p = cosine_params(omega0=1.0, chi=0.25, alpha=3.0)
+        coarse = integrate_wei_norman(p, 8 * math.pi, samples=2)
+        fine = integrate_wei_norman(p, 8 * math.pi)
+        for name in ("x1", "x2", "x3"):
+            assert abs(getattr(coarse, name)[-1]
+                       - getattr(fine, name)[-1]) < 1e-11
+
+    def test_real_part_of_x1_closes_the_norm(self):
+        # Re X1 = -|G|^2 / 2 with G = i X3, so |eta| and X1 give unit norm
+        p = cosine_params(omega0=1.0, chi=0.0, alpha=3.0)
+        sol = integrate_wei_norman(p, 26.0, samples=2601)
+        np.testing.assert_array_equal(sol.x1.real, -0.5 * np.abs(sol.x3) ** 2)
+
+    def test_large_drive_budget_is_relative(self):
+        # increments near 7e5 per unit time carry rounding far above 1e-13;
+        # the budget scales with them, as the stepper's does with the state
+        p = ModelParams(omega0=1.0, drive=DriveSpec.constant(1e6))
+        sol = integrate_wei_norman(p, math.pi, samples=2)
+        assert abs(sol.x2[-1] - 1e6 * math.sqrt(2.0)) < 1e-13 * 1e6
+
+    def test_refinement_cap_raises(self):
+        # a drive that never settles ends at the panel cap, not in a loop
+        p = ModelParams(omega0=1.0, drive=DriveSpec.constant(math.nan))
+        with pytest.raises(StepSizeError) as exc:
+            integrate_wei_norman(p, 1.0, samples=3)
+        assert exc.value.t == 0.0
 
 
 class TestEvolvedState:

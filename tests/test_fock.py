@@ -11,6 +11,7 @@ from kerrosc.fock import (
     TruncationError,
     annihilation_operator,
     apply,
+    coherent_amplitudes,
     coherent_state,
     creation_operator,
     default_truncation,
@@ -35,6 +36,18 @@ class TestCoherentState:
         expected = np.zeros(8)
         expected[0] = 1.0
         np.testing.assert_allclose(s.amplitudes, expected)
+
+    def test_amplitudes_broadcast_over_an_array(self):
+        alphas = np.array([[0.0, 0.5 - 1.2j], [3.0, -2.0 + 0.1j]])
+        amps = coherent_amplitudes(alphas, 30)
+        assert amps.shape == (2, 2, 30)
+        for idx in np.ndindex(alphas.shape):
+            a = complex(alphas[idx])
+            direct = [a ** k / math.sqrt(math.factorial(k))
+                      * math.exp(-abs(a) ** 2 / 2) for k in range(30)]
+            np.testing.assert_allclose(amps[idx], direct, rtol=1e-13,
+                                       atol=1e-300)
+        np.testing.assert_array_equal(amps[0, 0], np.eye(30)[0])
 
     def test_mean_occupation_alpha_3(self):
         # direct Poisson-summation oracle at mu = 9

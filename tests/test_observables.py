@@ -7,7 +7,7 @@ import pytest
 from kerrosc.config import load_config
 from kerrosc.driven import DriveSpec
 from kerrosc.evolution import ModelParams, evolved_state, integrate_wei_norman
-from kerrosc.fock import coherent_state, inner
+from kerrosc.fock import coherent_state, default_truncation, inner
 from kerrosc.kerr_states import KerrStateParams, kerr_state
 from kerrosc.observables import (
     AutocorrSeries,
@@ -58,6 +58,34 @@ class TestAutocorrelation:
             f_state = inner(start, evolved_state(p, sol, float(t), n_trunc))
             assert abs(f_series - f_state) < 1e-10
             assert abs(abs(f_series) ** 2 - abs(f_state) ** 2) < 1e-10
+        # a whole series, on a coarse grid and off it, against the loop
+        sol = integrate_wei_norman(p, 6.0, samples=61)
+        for times in (None, np.linspace(0.013, 5.987, 37)):
+            ser = autocorrelation_series(p, sol, times)
+            loop = [inner(start, evolved_state(p, sol, float(t), n_trunc))
+                    for t in ser.times]
+            np.testing.assert_allclose(ser.values, loop, rtol=0, atol=1e-12)
+
+    def test_long_series_matches_the_loop_across_blocks(self):
+        # 20001 points span many blocks while the resonant drive grows
+        # |eta|, so each block sums to its own n_top
+        p = fig2_params(0.25, alpha=2.0)
+        sol = integrate_wei_norman(p, 40.0, samples=20_001)
+        n_trunc = default_truncation(complex(np.max(np.abs(sol.eta))))
+        start = coherent_state(2.0, n_trunc)
+        picks = np.unique(np.r_[0:20_001:251, 8191, 8192, 16383, 16384,
+                                20_000])
+        off_grid = sol.times[picks[:-1]] + 0.37 * (sol.times[1] - sol.times[0])
+        for times, at in ((None, sol.times[picks]),
+                          (np.repeat(off_grid, 200), off_grid)):
+            values = autocorrelation_series(p, sol, times).values
+            if times is None:
+                values = values[picks]
+            else:
+                values = values[::200]
+            loop = [inner(start, evolved_state(p, sol, float(t), n_trunc))
+                    for t in at]
+            np.testing.assert_allclose(values, loop, rtol=0, atol=1e-12)
 
     def test_series_container_invariants(self):
         p = fig2_params(0.25)
