@@ -21,14 +21,15 @@ from .driven import displacement_amplitude, energy_level as driven_level
 from .evolution import (
     ModelParams,
     WeiNormanSolution,
-    evolved_state,
+    _checked_coefficients,
+    _evolved_amplitudes,
     integrate_wei_norman,
 )
 from .fock import TruncationError, coherent_state, default_truncation
 from .integrators import StepSizeError
 from .kerr_states import KerrStateParams, quadrature_variance_ratios
 from .observables import autocorrelation_series, husimi_snapshot
-from .oracle import OracleError, fidelity, integrate_exact
+from .oracle import OracleError, integrate_exact
 from .timemap import heisenberg_coefficients, rescaled_time, transformed_frequency
 
 SUBCOMMANDS = ("simulate", "oracle", "variances", "autocorr", "husimi",
@@ -36,6 +37,7 @@ SUBCOMMANDS = ("simulate", "oracle", "variances", "autocorr", "husimi",
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+_FIDELITY_ROWS = 256  # per oracle fidelity block, to bound the memory
 
 
 def _metadata(cfg: ScenarioConfig, subcommand: str, tol: float,
@@ -123,10 +125,15 @@ def run_oracle(cfg: ScenarioConfig, out: Path, tol: float,
     run = integrate_exact(params, psi0, cfg.t_end, tol=tol,
                           sample_times=sol.times)
     cols, rows = _wei_norman_rows(cfg, sol)
-    fid = np.array([
-        fidelity(run.state_at(i), evolved_state(params, sol, float(t), n_trunc))
-        for i, t in enumerate(run.times)
-    ])
+    x1, x3, eta, _ = _checked_coefficients(params, sol, run.times, n_trunc)
+    fid = np.empty(run.times.size)
+    for start in range(0, fid.size, _FIDELITY_ROWS):
+        part = slice(start, start + _FIDELITY_ROWS)
+        model = _evolved_amplitudes(params, run.times[part], x1[part],
+                                    x3[part], eta[part], n_trunc)
+        exact = run.states[part]
+        fid[part] = np.abs(np.vecdot(exact, model)) ** 2 / (
+            np.vecdot(exact, exact).real * np.vecdot(model, model).real)
     cols = cols + ["norm_drift", "fidelity"]
     rows = np.column_stack([rows, run.norm_drift, fid])
     meta = _metadata(cfg, "oracle", tol, n_trunc)

@@ -13,7 +13,6 @@ Two approximate branches for H = Omega0 (n + 1/2) + chi n^2
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .fock import (
     default_truncation,
     poisson_tail,
 )
-from .integrators import _BUDGET_FLOOR, StepSizeError, integrate_adaptive
+from .integrators import _panel_quadrature
 
 __all__ = [
     "ModelParams",
@@ -41,9 +40,6 @@ __all__ = [
 ]
 
 SAMPLES_PER_PERIOD = 2000
-_GL_NODES = 8  # Gauss-Legendre nodes per Wei-Norman quadrature panel
-_MAX_PANELS = 1 << 10  # per output interval; StepSizeError past it
-_CHUNK_NODES = 1 << 14  # drive samples per evaluation
 
 
 @dataclass(frozen=True)
@@ -109,9 +105,10 @@ def linearized_ladder(params: ModelParams, n: int, t: float,
                       tol: float = 1e-12) -> LinearizedSolution:
     """Linearized Heisenberg solution for an initial number state |n>.
 
-    Integrates jointly the first-order response zeta, the accumulated phase
-    gamma(t) = integral 2 chi [n + |zeta|^2], and the refined drive response
-    delta with the shared adaptive stepper.
+    Nested integrals on the panel kernel of `kerrosc.integrators`: with
+    s = 1/sqrt(2 Omega0) and Z(u) = integral_0^u e exp(i nu u'), zeta =
+    i s exp(-i nu t) Z(t), gamma(t) = integral 2 chi [n + s^2 |Z|^2] and
+    delta = -i s exp(-i gamma(t)) integral e exp(i nu u + i gamma(u)).
 
     Parameters
     ----------
@@ -125,25 +122,19 @@ def linearized_ladder(params: ModelParams, n: int, t: float,
         raise ValueError("level index must be non-negative")
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    nu = params.nu
-    chi = params.chi
+    if tol <= 0.0:
+        raise ValueError("tol must be positive")
+    nu, chi = params.nu, params.chi
     scale = 1.0 / math.sqrt(2.0 * params.omega0)
 
-    def rhs(s, y):
-        zeta, gamma, delta = y
-        e_s = params.drive(s)
-        d_zeta = -1j * nu * zeta + 1j * e_s * scale
-        rate = 2.0 * chi * (n + abs(zeta) ** 2)
-        d_gamma = rate
-        d_delta = -1j * rate * delta - 1j * e_s * scale * np.exp(1j * nu * s)
-        return np.array([d_zeta, d_gamma, d_delta])
+    def integrands(u, running):
+        source = params.drive(u) * np.exp(1j * nu * u)
+        rate = 2.0 * chi * (n + scale ** 2 * np.abs(running(source)) ** 2)
+        return source, rate, source * np.exp(1j * running(rate))
 
-    if t == 0.0:
-        zeta, gamma, delta = 0.0j, 0.0j, 0.0j
-    else:
-        _, ys = integrate_adaptive(rhs, np.zeros(3, dtype=np.complex128),
-                                   0.0, t, tol)
-        zeta, gamma, delta = ys[-1]
+    z_t, gamma, d_t = _panel_quadrature(integrands, [0.0], [t], tol)[:, 0]
+    zeta = 1j * scale * np.exp(-1j * nu * t) * z_t
+    delta = -1j * scale * np.exp(-1j * gamma.real) * d_t
     n_bar = n + abs(zeta) ** 2
     return LinearizedSolution(
         t=t, n=n, zeta=complex(zeta), gamma_phase=float(gamma.real),
@@ -206,7 +197,7 @@ class WeiNormanSolution:
         if off.any():
             g0 = 1j * x[2, off]  # G = i X3
             d_g, d_q = _increments(self.params, self.times[k[off]], ts[off],
-                                   _BUDGET_FLOOR)
+                                   0.0)  # tol 0: the budget floor
             x[:, off] = _coefficients(
                 g0 + d_g, x[0, off].imag - (g0.conj() * d_g + d_q).imag)
         return tuple(complex(v[0]) if np.ndim(t) == 0
@@ -231,58 +222,13 @@ def _default_samples(params: ModelParams, t_end: float) -> int:
     return min(max(n, 1001), 200_001)
 
 
-@functools.cache
-def _legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1], and the matrix whose row j
-    integrates the interpolant of the node values from 0 to node j."""
-    from numpy.polynomial import legendre  # lazy: not loaded by numpy
-    x, w = legendre.leggauss(_GL_NODES)
-    to_node = legendre.legval(x, legendre.legint(np.eye(_GL_NODES), lbnd=-1))
-    matrix = np.linalg.solve(legendre.legvander(x, _GL_NODES - 1).T, to_node)
-    rule = (0.5 * (x + 1.0), 0.5 * w, 0.5 * matrix.T)
-    for arr in rule:
-        arr.flags.writeable = False
-    return rule
+def _increments(params: ModelParams, starts, ends, tol: float) -> np.ndarray:
+    """Integrals of g and of g conj(G - G(start)) over each [start, end]."""
+    def integrands(t, running):
+        g = drive_coefficient(params, t)
+        return g, g * running(g).conj()
 
-
-def _increments(params: ModelParams, starts: np.ndarray, ends: np.ndarray,
-                budget: float) -> np.ndarray:
-    """Integrals of g and of g conj(G - G(start)) over each [start, end].
-
-    Each interval is cut into equal 8-node Gauss-Legendre panels, doubled
-    until both integrals move by at most `budget` per unit time, or relative
-    to their size where that is larger; the finer values are kept.  In-panel
-    partial integrals of g come from the integration matrix, so they cost no
-    extra drive evaluations.
-    """
-    nodes, weights, matrix = _legendre_rule()
-    spans = ends - starts
-    out = np.empty((2, spans.size), dtype=np.complex128)
-    todo, coarse, panels = np.arange(spans.size), None, 1
-    while todo.size:
-        if panels > _MAX_PANELS:
-            t = float(starts[todo[0]])
-            raise StepSizeError(f"quadrature budget missed at t={t:.6g}", t)
-        fine = np.empty((2, todo.size), dtype=np.complex128)
-        block = max(1, _CHUNK_NODES // (panels * _GL_NODES))
-        for lo in range(0, todo.size, block):
-            idx = todo[lo:lo + block]
-            h = (spans[idx] / panels)[:, None, None]
-            gh = h * drive_coefficient(params, starts[idx, None, None] + h
-                                       * (np.arange(panels)[:, None] + nodes))
-            panel = gh @ weights
-            partial = (np.cumsum(panel, axis=1) - panel)[..., None] \
-                + gh @ matrix.T
-            fine[:, lo:lo + block] = (panel.sum(axis=1),
-                                      (gh * partial.conj()).sum(axis=1)
-                                      @ weights)
-        if coarse is not None:
-            done = (np.abs(fine - coarse)
-                    <= budget * np.maximum(spans[todo], np.abs(fine))).all(0)
-            out[:, todo[done]] = fine[:, done]
-            todo, fine = todo[~done], fine[:, ~done]
-        coarse, panels = fine, 2 * panels
-    return out
+    return _panel_quadrature(integrands, starts, ends, tol)
 
 
 def _coefficients(big_g, im_x1) -> np.ndarray:
@@ -306,10 +252,10 @@ def integrate_wei_norman(params: ModelParams, t_end: float,
     t_end : float
         End of the integration window (starts at 0, all X vanish there).
     tol : float
-        Error budget: the panels of an output interval double until its
-        integrals move by at most max(tol**2, 1e-13) per unit time, or
-        relative to their size where that is larger, as the budget of
-        `integrate_adaptive` is relative to the state norm above one.
+        Error budget of the Gauss-Legendre panel kernel of
+        `kerrosc.integrators`: the panels of an output interval double until
+        its integrals move by at most max(tol**2, 1e-13) per unit time, or
+        relative to their size where that is larger.
     samples : int, optional
         Number of equidistant output samples; defaults to 2000 per drive
         period, clipped to [1001, 200001].
@@ -329,8 +275,7 @@ def integrate_wei_norman(params: ModelParams, t_end: float,
     if samples < 2:
         raise ValueError("need at least two output samples")
     times = np.linspace(0.0, t_end, samples)
-    d_g, d_q = _increments(params, times[:-1], times[1:],
-                           max(tol * tol, _BUDGET_FLOOR))
+    d_g, d_q = _increments(params, times[:-1], times[1:], tol)
     big_g = np.concatenate(([0.0], np.cumsum(d_g)))
     # Im X1 gains Im(conj(G(t_k)) dG_k + dQ_k) over interval k, negated
     im_x1 = -np.concatenate(
@@ -352,18 +297,27 @@ def evolved_state(params: ModelParams, sol: WeiNormanSolution, t: float,
     TruncationError
         If the Poisson tail of |eta_t|^2 beyond n_trunc exceeds 1e-9.
     """
-    x1, x2, x3 = sol._at(t)
-    eta = x2 + params.alpha
-    if n_trunc is None:
-        n_trunc = default_truncation(eta)
-    tail = poisson_tail(abs(eta) ** 2, n_trunc)
-    if tail > 1e-9:
-        raise TruncationError(
-            f"n_trunc={n_trunc} leaves tail mass {tail:.3e} > 1e-9 "
-            f"for |eta|^2={abs(eta)**2:.6g}")
+    x1, x3, eta, n_trunc = _checked_coefficients(params, sol, t, n_trunc)
     amps = _evolved_amplitudes(params, t, x1, x3, eta, n_trunc)
     amps /= np.linalg.norm(amps)
     return FockState(amps, normalized=True, renormalized=True)
+
+
+def _checked_coefficients(params: ModelParams, sol: WeiNormanSolution, t,
+                          n_trunc: int | None):
+    """X1, X3, eta, n_trunc at t (a time or array) for `_evolved_amplitudes`;
+    the tail grows with the mean, so one check at the largest covers all."""
+    x1, x2, x3 = sol._at(t)
+    eta = x2 + params.alpha
+    peak = np.ravel(eta)[np.argmax(np.abs(eta))]
+    if n_trunc is None:
+        n_trunc = default_truncation(peak)
+    tail = poisson_tail(abs(peak) ** 2, n_trunc)
+    if tail > 1e-9:
+        raise TruncationError(
+            f"n_trunc={n_trunc} leaves tail mass {tail:.3e} > 1e-9 "
+            f"for |eta|^2={abs(peak)**2:.6g}")
+    return x1, x3, eta, n_trunc
 
 
 def _evolved_amplitudes(params: ModelParams, t, x1, x3, eta,

@@ -1,28 +1,23 @@
-"""Adaptive step-size ODE integration and quadrature shared by the solvers.
+"""Quadrature and ODE integration shared by the solvers.
 
-The exact oracle (`kerrosc.oracle.integrate_exact`) has its own unitary
-split-step propagator, and the Wei-Norman solve
-(`kerrosc.evolution.integrate_wei_norman`) is Gauss-Legendre quadrature
-under this stepper's budget rule and floor; neither uses the stepper.
-
-The embedded Dormand-Prince 5(4) pair propagates complex state vectors with
-an error-per-unit-step budget of tol**2, floored at 1e-13 near the rounding
-noise of the estimate.  Halving the requested tolerance quarters the budget
-only while tol**2 stays above that floor (tol above about 3.2e-7); below it
-the budget, and so the result, no longer changes, and a DEBUG record on the
-``kerrosc`` logger gives the requested and effective budgets.  Dense output
-between accepted steps is cubic Hermite, fed to caller-supplied sample times
-in a single streaming pass so long runs never store the full step history.
+Every integral in the package runs on one Gauss-Legendre panel kernel,
+`_panel_quadrature`; the Dormand-Prince 5(4) stepper serves only the
+dense-matrix Schrodinger integrator.  Both budget tol**2 per unit time,
+floored at 1e-13 near the rounding noise of their estimates, so below tol of
+about 3.2e-7 a smaller tol changes nothing; the stepper then logs both
+budgets at DEBUG on the ``kerrosc`` logger.  Its cubic-Hermite dense output
+streams to the sample times without storing the steps.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["StepSizeError", "integrate_adaptive", "adaptive_simpson"]
+__all__ = ["StepSizeError", "integrate_adaptive"]
 
 
 class StepSizeError(RuntimeError):
@@ -57,6 +52,9 @@ _MAX_FACTOR = 5.0
 # Budget floor keeps the per-unit-step target above the rounding noise of the
 # embedded estimate for state norms of order one.
 _BUDGET_FLOOR = 1e-13
+_GL_NODES = 8  # Gauss-Legendre nodes per quadrature panel
+_PANEL_CAP = 1 << 10  # panels per interval, and per unit time beyond one
+_CHUNK_NODES = 1 << 14  # integrand samples per evaluation
 
 
 def _hermite(theta, y0, y1, f0, f1, h):
@@ -174,39 +172,64 @@ def integrate_adaptive(
     return sample_times, out
 
 
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-10,
-    max_depth: int = 50,
-) -> float:
-    """Adaptive Simpson quadrature of a scalar function on [a, b]."""
-    if b < a:
-        raise ValueError("b must not precede a")
-    if a == b:
-        return 0.0
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], and the matrix whose row j
+    integrates the interpolant of the node values from 0 to node j."""
+    from numpy.polynomial import legendre  # lazy: not loaded by numpy
+    x, w = legendre.leggauss(_GL_NODES)
+    to_node = legendre.legval(x, legendre.legint(np.eye(_GL_NODES), lbnd=-1))
+    matrix = np.linalg.solve(legendre.legvander(x, _GL_NODES - 1).T, to_node)
+    rule = (0.5 * (x + 1.0), 0.5 * w, 0.5 * matrix.T)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
 
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = simpson(a, b, fa, fm, fb)
+def _panel_quadrature(f, starts, ends, tol: float) -> np.ndarray:
+    """Integrals, shaped (..., intervals), of f over each [start, end].
 
-    def recurse(x0, x2, f0, f1, f2, area, eps, depth):
-        xm_l = 0.5 * (x0 + 0.5 * (x0 + x2))
-        xm_r = 0.5 * (0.5 * (x0 + x2) + x2)
-        fl, fr = f(xm_l), f(xm_r)
-        x1 = 0.5 * (x0 + x2)
-        left = simpson(x0, x1, f0, fl, f1)
-        right = simpson(x1, x2, f1, fr, f2)
-        delta = left + right - area
-        if depth >= max_depth or abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
-        return (recurse(x0, x1, f0, fl, f1, left, eps / 2.0, depth + 1)
-                + recurse(x1, x2, f1, fr, f2, right, eps / 2.0, depth + 1))
+    f(t, running) gets node times t, shaped (intervals, panels, nodes), and
+    returns integrands shaped like t, or several stacked on a first axis;
+    running(v) integrates node values v from the interval's start to each
+    node.  Panels double until each total moves by at most max(tol**2, 1e-13)
+    per unit time, or relative to its size where that is larger; past 1024
+    panels, or 1024 per unit time, StepSizeError gives the interval's start.
+    """
+    nodes, weights, matrix = _legendre_rule()
+    budget = max(tol * tol, _BUDGET_FLOOR)
+    starts = np.asarray(starts, dtype=float)
+    spans = np.asarray(ends, dtype=float) - starts
+    if np.any(spans < 0.0):
+        raise ValueError("interval end precedes its start")
+    out, todo, panels = None, np.arange(spans.size), 1
+    while todo.size:
+        over = todo[panels > np.maximum(_PANEL_CAP, _PANEL_CAP * spans[todo])]
+        if over.size:
+            t = float(starts[over[0]])
+            raise StepSizeError(f"quadrature budget missed at t={t:.6g}", t)
+        parts = []
+        block = max(1, _CHUNK_NODES // (panels * _GL_NODES))
+        for lo in range(0, todo.size, block):
+            idx = todo[lo:lo + block]
+            h = (spans[idx] / panels)[:, None, None]
 
-    eps = max(abs(whole), 1e-300) * rel_tol
-    return recurse(a, b, fa, fm, fb, whole, eps, 0)
+            def running(v):
+                vh = h * v
+                panel = vh @ weights
+                return (np.cumsum(panel, axis=-1) - panel)[..., None] \
+                    + vh @ matrix.T
+
+            v = np.asarray(f(starts[idx, None, None] + h
+                             * (np.arange(panels)[:, None] + nodes), running))
+            parts.append(((h * v) @ weights).sum(axis=-1))
+        fine = np.concatenate(parts, axis=-1)
+        if out is None:  # the first pass covers every interval
+            out = fine
+        else:
+            done = (np.abs(fine - out[..., todo]) <= budget * np.maximum(
+                spans[todo], np.abs(fine))).reshape(-1, todo.size).all(0)
+            out[..., todo] = fine
+            todo = todo[~done]
+        panels *= 2
+    return out

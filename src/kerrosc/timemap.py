@@ -23,7 +23,7 @@ import numpy as np
 
 from .driven import FrequencySpec
 from .fock import FockState
-from .integrators import adaptive_simpson
+from .integrators import _panel_quadrature
 
 __all__ = [
     "MassSpec",
@@ -97,8 +97,8 @@ class MassSpec:
 def rescaled_time(mass: MassSpec, t: float) -> float:
     """tau(t) = integral_0^t dt'/m(t'); strictly increasing, tau(0) = 0.
 
-    Closed forms for the constant and exponential kinds; adaptive Simpson
-    quadrature at 1e-10 relative tolerance for tabulated masses.
+    Closed forms for constant and exponential masses; a tabulated one takes
+    1/m, analytic per knot segment, to the kernel of `kerrosc.integrators`.
     """
     if t < 0.0:
         raise ValueError("t must be non-negative")
@@ -110,12 +110,20 @@ def rescaled_time(mass: MassSpec, t: float) -> float:
         if mass.rate == 0.0:
             return t / mass.m0
         return -math.expm1(-mass.rate * t) / (mass.rate * mass.m0)
-    return adaptive_simpson(lambda s: 1.0 / float(mass(s)), 0.0, t,
-                            rel_tol=1e-10)
+    return float(_knot_tau(mass, t)[1][-1])
+
+
+def _knot_tau(mass: MassSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of the knot segments in [0, t] and tau at each edge."""
+    edges = np.unique(np.clip(np.concatenate(([0.0, t], mass.times)), 0.0, t))
+    steps = _panel_quadrature(lambda s, _: 1.0 / mass(s), edges[:-1],
+                              edges[1:], 0.0)
+    return edges, np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def physical_time(mass: MassSpec, tau: float) -> float:
-    """Inverse of `rescaled_time`."""
+    """Inverse of `rescaled_time`; tabulated masses take Newton steps,
+    dtau/dt = 1/m, in the knot segment whose tau brackets the target."""
     if tau < 0.0:
         raise ValueError("tau must be non-negative")
     if tau == 0.0:
@@ -130,12 +138,18 @@ def physical_time(mass: MassSpec, tau: float) -> float:
             raise ValueError(f"tau={tau} beyond the reachable horizon "
                              f"{1.0 / (mass.rate * mass.m0):.6g}")
         return -math.log(arg) / mass.rate
-    from scipy.optimize import brentq  # lazy: slow import
-    hi = mass.times[-1]
-    if rescaled_time(mass, hi) < tau:
+    edges, knot_tau = _knot_tau(mass, mass.times[-1])
+    if knot_tau[-1] < tau:
         raise ValueError("tau beyond the tabulated window")
-    return brentq(lambda s: rescaled_time(mass, s) - tau, 0.0, hi,
-                  xtol=1e-13, rtol=1e-13)
+    k = int(np.searchsorted(knot_tau[1:-1], tau, side="right"))
+    lo, hi = edges[k], edges[k + 1]
+    t = lo + (hi - lo) * (tau - knot_tau[k]) / (knot_tau[k + 1] - knot_tau[k])
+    step = math.inf
+    while True:
+        new = mass(t) * (rescaled_time(mass, t) - tau)
+        if not abs(new) < abs(step):
+            return t
+        t, step = min(max(t - new, lo), hi), new
 
 
 def transformed_frequency(mass: MassSpec, frequency: FrequencySpec,

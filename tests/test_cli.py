@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from kerrosc.cli import main
+from kerrosc.cli import _model_params, main
+from kerrosc.config import load_config
+from kerrosc.evolution import evolved_state, integrate_wei_norman
+from kerrosc.fock import coherent_state
+from kerrosc.oracle import fidelity, integrate_exact
 
 FAST_MODEL = """
 model:
@@ -76,6 +80,24 @@ class TestSubcommands:
         assert data[0, -1] == pytest.approx(1.0, abs=1e-9)
         assert np.all(data[:, -1] <= 1.0 + 1e-9)
         assert np.all(data[:, -2] <= 1e-8)
+
+    def test_oracle_fidelity_matches_per_sample_states(self, cfg_file,
+                                                       tmp_path):
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", str(cfg_file), "--out", str(out),
+                     "--trunc", "30"]) == 0
+        _, _, data = read_table(out / "oracle.csv")
+        cfg = load_config(cfg_file)
+        params = _model_params(cfg)
+        sol = integrate_wei_norman(params, cfg.t_end, tol=cfg.tolerance,
+                                   samples=cfg.samples)
+        run = integrate_exact(params, coherent_state(params.alpha, 30),
+                              cfg.t_end, tol=cfg.tolerance,
+                              sample_times=sol.times)
+        loop = [fidelity(run.state_at(i),
+                         evolved_state(params, sol, float(t), 30))
+                for i, t in enumerate(run.times)]
+        np.testing.assert_allclose(data[:, -1], loop, rtol=0, atol=1e-12)
 
     def test_variances_reproduces_closed_form(self, cfg_file, tmp_path):
         out = tmp_path / "out"

@@ -7,6 +7,8 @@ from scipy.integrate import quad
 from kerrosc.driven import DriveSpec
 from kerrosc.evolution import (
     ModelParams,
+    _checked_coefficients,
+    _evolved_amplitudes,
     drive_coefficient,
     evolved_state,
     integrate_wei_norman,
@@ -93,6 +95,31 @@ class TestLinearizedLadder:
         lin = linearized_ladder(p, 3, 1.0)
         assert lin.n_bar == pytest.approx(3.0)
         assert lin.rate == pytest.approx(2 * 0.2 * 3.0)
+
+    def test_long_run_matches_recorded_references(self):
+        # fig. 2 model, n = 20, t = 200 pi; needs 4096 panels, past a fixed
+        # cap of 1024.  Records: scipy DOP853 (rtol 1e-13, atol 1e-14) on the
+        # ladder ODEs, and the DP5(4) stepper at tol 1e-12 that this branch
+        # ran on before, whose delta erred by 1.4e-9.
+        p = cosine_params(omega0=1.0, chi=0.25, alpha=3.0)
+        lin = linearized_ladder(p, 20, 200 * math.pi, tol=1e-12)
+        for zeta, gamma, delta, bound in (
+                (7.561376045152161e-14 + 7.407182506247167e-14j,
+                 7385.948442725451,
+                 -0.13262731908595196 + 0.0042530999681769715j, 1e-10),
+                (-2.4617489636119164e-12 - 2.7598583141053012e-12j,
+                 7385.9484427252055,
+                 -0.13262731770716338 + 0.004253099948726272j, 5e-9)):
+            assert abs(lin.zeta - zeta) < bound
+            assert abs(lin.gamma_phase - gamma) < bound
+            assert abs(lin.delta - delta) < bound
+
+    def test_nan_drive_raises_at_the_panel_cap(self):
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.constant(math.nan))
+        with pytest.raises(StepSizeError) as exc:
+            linearized_ladder(p, 3, 1.0)
+        assert exc.value.t == 0.0
 
 
 class TestDriveCoefficient:
@@ -268,3 +295,20 @@ class TestEvolvedState:
             evolved_state(p, sol, 1.0, 12)
         # and the guard threshold is the documented 1e-9 tail mass
         assert poisson_tail(9.0, 12) > 1e-9
+
+    def test_blocked_coefficients_check_the_largest_tail(self):
+        # resonant Kerr-free drive: |eta| grows, so 30 levels hold the early
+        # times but not the last one
+        p = cosine_params(omega0=1.0, chi=0.0, alpha=0.0)
+        sol = integrate_wei_norman(p, 30.0, tol=1e-10, samples=31)
+        early = sol.times[:5]
+        x1, x3, eta, n_trunc = _checked_coefficients(p, sol, early, 30)
+        amps = _evolved_amplitudes(p, early, x1, x3, eta, n_trunc)
+        assert amps.shape == (5, 30)
+        for t, row in zip(early, amps):
+            np.testing.assert_allclose(
+                row / np.linalg.norm(row),
+                evolved_state(p, sol, float(t), 30).amplitudes,
+                rtol=0, atol=1e-15)
+        with pytest.raises(TruncationError):
+            _checked_coefficients(p, sol, sol.times, 30)

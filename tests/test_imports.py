@@ -6,13 +6,27 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy costs over a second to import; only tabulated drives/masses and
-    # the dense displacement operators load it, on first use
-    code = ("import kerrosc.cli, sys; print(' '.join(sorted(m for m in "
-            "sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+def loaded(code: str, prefixes: tuple[str, ...]) -> list[str]:
+    """Modules under any of the prefixes loaded by a fresh interpreter."""
+    code += ("; import sys; print(' '.join(sorted(m for m in sys.modules if "
+             f"any(m == p or m.startswith(p + '.') for p in {prefixes!r}))))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    return done.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy costs over a second to import; only tabulated drives/masses and
+    # the dense displacement operators load it, on first use.  The Legendre
+    # rule of the quadrature kernel loads numpy.polynomial on first use too.
+    assert loaded("import kerrosc.cli", ("scipy", "numpy.polynomial")) == []
+
+
+def test_timemap_loads_scipy_only_for_a_tabulated_mass():
+    assert loaded("import kerrosc.timemap", ("scipy",)) == []
+    tabulated = loaded("import kerrosc.timemap as tm; "
+                       "tm.MassSpec.tabulated([0.0, 1.0], [1.0, 2.0])",
+                       ("scipy",))
+    assert "scipy.interpolate" in tabulated

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kerrosc.integrators import StepSizeError, adaptive_simpson, integrate_adaptive
+from kerrosc.integrators import StepSizeError, _panel_quadrature, integrate_adaptive
 
 
 class TestAdaptiveIntegrator:
@@ -77,24 +77,56 @@ class TestAdaptiveIntegrator:
                                sample_times=np.array([2.0]))
 
 
+def gl_integral(f, a, b, tol=1e-6):
+    """Integral of f on [a, b] on the panel kernel, f taking node times."""
+    return float(_panel_quadrature(lambda t, running: f(t), [a], [b], tol)[0])
+
+
 class TestAdaptiveSimpson:
+    """The cases of the adaptive Simpson rule, run on the Gauss-Legendre panel
+    kernel that replaced it."""
+
     def test_polynomial_is_exact(self):
-        val = adaptive_simpson(lambda x: x ** 3 - 2 * x, 0.0, 2.0)
+        val = gl_integral(lambda x: x ** 3 - 2 * x, 0.0, 2.0)
         assert abs(val - (4.0 - 4.0)) < 1e-13
 
     def test_oscillatory_integral(self):
-        val = adaptive_simpson(math.sin, 0.0, math.pi, rel_tol=1e-12)
+        val = gl_integral(np.sin, 0.0, math.pi)
         assert abs(val - 2.0) < 1e-11
 
     def test_exponential_against_closed_form(self):
         g = 0.5
-        val = adaptive_simpson(lambda s: math.exp(-g * s), 0.0, 2.0,
-                               rel_tol=1e-12)
+        val = gl_integral(lambda s: np.exp(-g * s), 0.0, 2.0)
         assert abs(val - (1 - math.exp(-1.0)) / g) < 1e-12
 
     def test_empty_interval(self):
-        assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
+        assert gl_integral(np.exp, 1.0, 1.0) == 0.0
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
-            adaptive_simpson(math.exp, 1.0, 0.0)
+            gl_integral(np.exp, 1.0, 0.0)
+
+
+class TestPanelQuadrature:
+    def test_nan_integrand_ends_at_the_cap(self):
+        with pytest.raises(StepSizeError) as exc:
+            _panel_quadrature(lambda t, running: np.full(t.shape, math.nan),
+                              [0.0, 0.5], [0.5, 1.5], 1e-6)
+        assert exc.value.t == 0.0
+
+    def test_running_integral_feeds_a_nested_one(self):
+        # integral over [a, b] of cos(u) (sin u - sin a), per interval
+        a, b = np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 7.0])
+        totals = _panel_quadrature(
+            lambda t, running: np.cos(t) * running(np.cos(t)), a, b, 1e-7)
+        exact = (0.5 * (np.sin(b) ** 2 - np.sin(a) ** 2)
+                 - np.sin(a) * (np.sin(b) - np.sin(a)))
+        np.testing.assert_allclose(totals, exact, rtol=0, atol=1e-13)
+
+    def test_stacked_integrands_return_one_row_each(self):
+        totals = _panel_quadrature(
+            lambda t, running: (np.ones_like(t), t, 1j * t ** 2),
+            [0.0, 1.0], [1.0, 3.0], 1e-6)
+        np.testing.assert_allclose(
+            totals, [[1.0, 2.0], [0.5, 4.0], [1j / 3, 26j / 3]],
+            rtol=0, atol=1e-14)

@@ -65,6 +65,19 @@ class TestRescaledTime:
             t = 2.7
             assert abs(physical_time(m, rescaled_time(m, t)) - t) < 1e-9
 
+    def test_tabulated_round_trip_at_and_between_knots(self):
+        ts = np.linspace(0.0, 5.0, 21)
+        m = MassSpec.tabulated(ts, 2.0 + np.cos(3.0 * ts))
+        between = 0.5 * (ts[:-1] + ts[1:]) + 0.1 * np.diff(ts)
+        for t in np.concatenate((ts[1:], between)):
+            t = float(t)
+            assert abs(physical_time(m, rescaled_time(m, t)) - t) < 1e-12
+
+    def test_tau_beyond_tabulated_window_rejected(self):
+        m = MassSpec.tabulated([0.0, 1.0, 2.0], [1.0, 2.0, 1.5])
+        with pytest.raises(ValueError, match="tabulated window"):
+            physical_time(m, 1.01 * rescaled_time(m, 2.0))
+
     @given(st.integers(0, 10 ** 6), st.floats(0.05, 4.0), st.floats(0.05, 4.0))
     @settings(max_examples=25, deadline=None)
     def test_monotone_for_random_tabulated_mass(self, seed, t1, t2):
