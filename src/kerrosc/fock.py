@@ -109,17 +109,6 @@ class FockOperator:
                              f"{self.n_trunc} vs {other.n_trunc}")
         return FockOperator(self.matrix @ other.matrix)
 
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.matrix + other.matrix)
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.matrix - other.matrix)
-
-    def __mul__(self, scalar) -> "FockOperator":
-        return FockOperator(self.matrix * scalar)
-
-    __rmul__ = __mul__
-
 
 def annihilation_operator(n_trunc: int) -> FockOperator:
     """Ladder-down operator: <n|a|n+1> = sqrt(n+1)."""

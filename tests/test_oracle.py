@@ -1,5 +1,7 @@
 import logging
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -166,3 +168,65 @@ class TestIntegrateSchrodinger:
         out = integrate_schrodinger(lambda s: h, psi0, t, tol=1e-10)[-1]
         expected = expm(-1j * h * t) @ psi0.amplitudes
         assert np.abs(out - expected).max() < 1e-8
+
+
+class TestSchrodingerPropagator:
+    def test_agrees_with_the_exact_oracle_on_the_kerr_hamiltonian(self):
+        # the dense Kerr H(t) = H0 + e(t) V of the fig. 2 drive, on the two
+        # independent propagators
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
+        n = 40
+        levels = np.arange(n)
+        h0 = np.diag(levels + 0.5 + 0.25 * levels.astype(float) ** 2)
+        ladder = np.sqrt(np.arange(1, n))
+        v = (np.diag(ladder, 1) + np.diag(ladder, -1)) / math.sqrt(2.0)
+        psi0 = coherent_state(1.0, n)
+        ts = np.linspace(0.0, 2.0, 21)
+        got = integrate_schrodinger(lambda t: h0 + p.drive(t) * v, psi0, 2.0,
+                                    tol=1e-10, sample_times=ts)
+        ref = integrate_exact(p, psi0, 2.0, tol=1e-10, sample_times=ts)
+        assert got.shape == ref.states.shape
+        assert np.abs(got - ref.states).max() < 1e-9
+
+    def test_budget_under_rounding_floor_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(StepSizeError, match="underflow"):
+            integrate_schrodinger(
+                lambda t: np.array([[1.0, 0.3 * t], [0.3 * t, -1.0]]),
+                number_state(0, 2), 2.0, tol=1e-16)
+        assert time.perf_counter() - start < 0.5
+
+    def test_non_hermitian_hamiltonian_refused(self):
+        h = np.array([[1.0, 0.5], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            integrate_schrodinger(lambda t: h, number_state(0, 2), 1.0)
+
+    @staticmethod
+    def accepted_steps(caplog, tol):
+        """Accepted steps of a run on a 2x2 H(t) whose terms do not commute,
+        read from its telemetry line."""
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+            integrate_schrodinger(
+                lambda t: np.array([[1.0, 0.5 * math.cos(t)],
+                                    [0.5 * math.cos(t), -1.0]]),
+                number_state(0, 2), 5.0, tol=tol)
+        records = [r for r in caplog.records
+                   if r.getMessage().startswith("integrate_schrodinger")]
+        assert len(records) == 1 and records[0].levelno == logging.DEBUG
+        found = re.search(r"(\d+) accepted, \d+ rejected steps, budget "
+                          f"{tol:g} per unit step", records[0].getMessage())
+        assert found
+        return int(found.group(1))
+
+    def test_step_telemetry_reported(self, caplog):
+        assert self.accepted_steps(caplog, 1e-9) > 0
+
+    def test_step_is_fourth_order(self, caplog):
+        # a budget of tol per unit step and a local error ~ h**5 give
+        # h ~ tol**(1/4): a 256-fold smaller tol takes about 4x the steps
+        # (measured 3.8), a 2nd-order step would take 16x
+        ratio = self.accepted_steps(caplog, 1e-8 / 256) \
+            / self.accepted_steps(caplog, 1e-8)
+        assert 3.0 <= ratio <= 5.0
