@@ -54,9 +54,9 @@ def _metadata(cfg: ScenarioConfig, subcommand: str, tol: float,
 def _write_table(path: Path, columns: list[str], rows: np.ndarray,
                  meta: dict, fmt: str):
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = np.asarray(rows, dtype=float)
     if fmt == "json":
-        doc = {"meta": meta, "columns": columns,
-               "rows": [[float(v) for v in row] for row in rows]}
+        doc = {"meta": meta, "columns": columns, "rows": rows.tolist()}
         path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
         return
     lines = []
@@ -67,9 +67,11 @@ def _write_table(path: Path, columns: list[str], rows: np.ndarray,
         else:
             lines.append(f"# {key}: {value}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(f"{float(v):.12g}" for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # one %-format call for the body; "%.12g" % v == f"{v:.12g}" for every
+    # float, nan, infinities and -0.0 included
+    row = ",".join(["%.12g"] * len(columns)) + "\n"
+    body = row * len(rows) % tuple(rows.ravel().tolist())
+    path.write_text("\n".join(lines) + "\n" + body, encoding="utf-8")
 
 
 def _model_params(cfg: ScenarioConfig) -> ModelParams:

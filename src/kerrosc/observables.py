@@ -3,8 +3,9 @@
 The autocorrelation F(t) = <initial|evolved> is summed analytically from the
 factorized-evolution amplitudes; revival times are the filtered local maxima
 of |F|^2.  The Husimi distribution Q(gamma) = |<gamma|psi>|^2 / pi is
-evaluated on rectangular phase-space grids through the generic coherent-state
-overlap, which keeps it non-negative by construction.
+evaluated on rectangular phase-space grids as the squared modulus of the
+overlap, so it is non-negative by construction; the overlap is summed over
+the whole grid in one rescaled Horner pass over the levels (`husimi_grid`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,12 @@ __all__ = [
     "find_grid_peaks",
 ]
 
-_CHUNK = 1024  # time points or grid cells per amplitude matrix
+_CHUNK = 1024  # time points per amplitude matrix
+# Horner rescaling in husimi_grid: every _HORNER_CHECK levels, cells whose
+# accumulator passed _HORNER_BIG are divided by it.  A level multiplies |acc|
+# by at most |gamma|, so 8 levels stay finite for |gamma| < 1e19.
+_HORNER_CHECK = 8
+_HORNER_BIG = 1e150
 
 
 @dataclass(frozen=True)
@@ -173,9 +179,18 @@ class PhaseSpaceGrid:
 
 def husimi_grid(state: FockState, x_range: tuple[float, float],
                 y_range: tuple[float, float], resolution: int | tuple[int, int],
-                time: float | None = None,
-                chunk: int = _CHUNK) -> PhaseSpaceGrid:
+                time: float | None = None) -> PhaseSpaceGrid:
     """Husimi function Q(gamma) = |<gamma|psi>|^2 / pi on a rectangular grid.
+
+    The conjugate overlap e^{-|gamma|^2/2} sum_n conj(psi_n) gamma^n / sqrt(n!)
+    is a polynomial in gamma, evaluated over the whole grid at once by
+    Horner's scheme: acc <- conj(psi_{k-1}) + acc gamma / sqrt(k) for
+    k = N-1 ... 1, one complex multiply and add per cell and level.  |acc|
+    grows up to about e^{|gamma|^2/2}, so every `_HORNER_CHECK` levels the
+    cells past `_HORNER_BIG` are divided by it: from then on such a cell
+    holds the sum over its scale, the coefficients still to come are added
+    divided by the same scale, and the count of divisions is folded into the
+    final Gaussian factor.  The grid stays finite wherever that factor does.
 
     Parameters
     ----------
@@ -196,14 +211,30 @@ def husimi_grid(state: FockState, x_range: tuple[float, float],
         raise ValueError("resolution must be at least 2 per axis")
     x = np.linspace(x_range[0], x_range[1], nx)
     y = np.linspace(y_range[0], y_range[1], ny)
-    gamma = (x[None, :] + 1j * y[:, None]).ravel()
-    q_flat = np.empty(gamma.size)
-    for start in range(0, gamma.size, chunk):
-        # <gamma|psi> = sum_n conj(c^gamma_n) psi_n, the conjugate of this
-        overlap = coherent_amplitudes(gamma[start:start + chunk],
-                                      state.n_trunc) @ state.amplitudes.conj()
-        q_flat[start:start + chunk] = np.abs(overlap) ** 2 / math.pi
-    return PhaseSpaceGrid(x=x, y=y, values=q_flat.reshape(ny, nx), time=time)
+    gamma = x[None, :] + 1j * y[:, None]
+    coeffs = state.amplitudes.conj()
+    acc = np.full(gamma.shape, coeffs[-1])
+    rescaled = np.zeros(gamma.shape)
+    weight = None  # per-cell 1 / scale, once any cell has been rescaled
+    for k in range(coeffs.size - 1, 0, -1):
+        acc *= gamma
+        acc *= 1.0 / math.sqrt(k)
+        if weight is None:
+            acc += coeffs[k - 1]
+        else:
+            acc += coeffs[k - 1] * weight
+        if k % _HORNER_CHECK == 0:
+            big = np.abs(acc) > _HORNER_BIG
+            if big.any():
+                if weight is None:
+                    weight = np.ones(gamma.shape)
+                acc[big] /= _HORNER_BIG
+                weight[big] /= _HORNER_BIG
+                rescaled[big] += 1.0
+    log_gauss = rescaled * math.log(_HORNER_BIG) - 0.5 * np.abs(gamma) ** 2
+    # |.|^2 of a complex number: Q >= 0 by construction
+    q = (np.abs(acc) * np.exp(log_gauss)) ** 2 / math.pi
+    return PhaseSpaceGrid(x=x, y=y, values=q, time=time)
 
 
 def husimi_expectation(grid: PhaseSpaceGrid, samples: np.ndarray) -> complex:
@@ -220,7 +251,11 @@ def husimi_expectation(grid: PhaseSpaceGrid, samples: np.ndarray) -> complex:
 
 def find_grid_peaks(grid: PhaseSpaceGrid,
                     rel_threshold: float = 0.2) -> list[tuple[float, float, float]]:
-    """Strict local maxima over the 8-neighborhood above rel_threshold * max.
+    """Local maxima over the 8-neighborhood above rel_threshold * max.
+
+    A maximum exceeds its neighbours before it in raster order and is at
+    least those after it, so a peak that falls exactly between two cells,
+    with equal values on both, counts once, at the first of them.
 
     Returns (x, y, Q) triples sorted by descending height.
     """
@@ -232,8 +267,8 @@ def find_grid_peaks(grid: PhaseSpaceGrid,
         for dx in (-1, 0, 1):
             if dx == 0 and dy == 0:
                 continue
-            mask &= inner > q[1 + dy:q.shape[0] - 1 + dy,
-                              1 + dx:q.shape[1] - 1 + dx]
+            nbr = q[1 + dy:q.shape[0] - 1 + dy, 1 + dx:q.shape[1] - 1 + dx]
+            mask &= inner > nbr if (dy, dx) < (0, 0) else inner >= nbr
     jj, ii = np.nonzero(mask)
     peaks = [(float(grid.x[i + 1]), float(grid.y[j + 1]),
               float(inner[j, i])) for j, i in zip(jj, ii)]

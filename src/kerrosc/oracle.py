@@ -46,6 +46,9 @@ _HERMITIAN_RTOL = 1e-12  # |H - H^dagger| / |H| above rounding
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+# The estimate of a one-ulp difference between unit states: a budget tol * h
+# under it can only pass an estimate of exactly 0, which says nothing.
+_ESTIMATE_FLOOR = float(np.finfo(float).eps) / 15.0
 
 # Yoshida triple jump: substeps w1, w0, w1 of the step, midpoints in _MIDS.
 _W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -127,7 +130,9 @@ def _step_doubling(advance, psi0, t_end: float, times: np.ndarray,
     accepted when the estimate is at most tol * h, with h the controller's
     step.  The rest of each sample interval is split into ceil(rest / h)
     equal steps, so the run lands on every sample exactly.  StepSizeError
-    when h falls under 1e-14 of the span.
+    when h falls under 1e-14 of the span, or the budget tol * h under
+    `_ESTIMATE_FLOOR`: where the steps commute the estimate is rounding
+    alone, exactly 0 as often as not, and h would never shrink to the floor.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -138,7 +143,7 @@ def _step_doubling(advance, psi0, t_end: float, times: np.ndarray,
         raise ValueError("sample times must be sorted within [0, t_end]")
     span = float(times[-1]) if times.size else 0.0
     h = span * 1e-3
-    h_min = span * 1e-14
+    h_min = max(span * 1e-14, _ESTIMATE_FLOOR / tol)
     psi = np.array(psi0, dtype=np.complex128)
     states = np.empty((times.size, psi.size), dtype=np.complex128)
     t = 0.0
@@ -205,8 +210,9 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
         If the norm drifts beyond 1e-8 or the support reaches the truncation
         boundary (top-level population above 1e-10).
     StepSizeError
-        If the step collapses, as it does when tol * h sits under the
-        rounding floor of the error estimate (about 3e-16).
+        If the budget tol * h falls under the rounding floor of the error
+        estimate (machine epsilon / 15, about 1.5e-17), or the step
+        collapses below 1e-14 of the span.
     """
     if abs(psi0.norm() - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
@@ -276,9 +282,9 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
     t_end : float
     tol : float
         Error budget per unit step, as in `integrate_exact`, so the final
-        deficit 1 - F scales as tol**2.  A budget under the rounding floor of
-        the step's error estimate (about 3e-16, e.g. tol = 1e-14) is refused
-        with StepSizeError.
+        deficit 1 - F scales as tol**2.  A budget tol * h under the rounding
+        floor of the step's error estimate (about 1.5e-17, e.g. tol = 1e-16)
+        is refused with StepSizeError.
     sample_times : ndarray, optional
         Sorted times in [0, t_end]; defaults to just the endpoint.
 

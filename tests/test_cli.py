@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kerrosc.cli import _model_params, main
+from kerrosc.cli import _model_params, _write_table, main
 from kerrosc.config import load_config
 from kerrosc.evolution import evolved_state, integrate_wei_norman
 from kerrosc.fock import coherent_state
@@ -160,6 +160,34 @@ class TestSubcommands:
         assert doc["columns"] == ["xi", "ratio_q", "ratio_p"]
         assert len(doc["rows"]) == 101
         assert "config" in doc["meta"]
+
+
+class TestWriteTable:
+    ROWS = np.array([
+        [math.nan, math.inf, -math.inf],
+        [-0.0, 5e-324, 1e300],
+        [3.0, -17.0, 2.0 ** 60],
+        [0.1, -1.0 / 3.0, 123456789012.345678],
+    ])
+    META = {"generator": "test", "config": "a: 1\nb: 2\n"}
+
+    def test_csv_body_equals_the_per_value_format(self, tmp_path):
+        path = tmp_path / "t.csv"
+        _write_table(path, ["a", "b", "c"], self.ROWS, self.META, "csv")
+        expected = "".join(",".join(f"{v:.12g}" for v in row) + "\n"
+                           for row in self.ROWS.tolist())
+        assert path.read_bytes() == (
+            "# generator: test\n# config:\n#   a: 1\n#   b: 2\na,b,c\n"
+            + expected).encode()
+
+    def test_json_rows_equal_the_per_value_floats(self, tmp_path):
+        path = tmp_path / "t.json"
+        _write_table(path, ["a", "b", "c"], self.ROWS, self.META, "json")
+        expected = json.dumps(
+            {"meta": self.META, "columns": ["a", "b", "c"],
+             "rows": [[float(v) for v in row] for row in self.ROWS]},
+            indent=1) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
 
 
 class TestExitCodes:

@@ -7,10 +7,17 @@ import pytest
 from kerrosc.config import load_config
 from kerrosc.driven import DriveSpec
 from kerrosc.evolution import ModelParams, evolved_state, integrate_wei_norman
-from kerrosc.fock import coherent_state, default_truncation, inner
+from kerrosc.fock import (
+    FockState,
+    coherent_amplitudes,
+    coherent_state,
+    default_truncation,
+    inner,
+)
 from kerrosc.kerr_states import KerrStateParams, kerr_state
 from kerrosc.observables import (
     AutocorrSeries,
+    PhaseSpaceGrid,
     _find_peaks,
     _median5,
     autocorrelation,
@@ -210,6 +217,52 @@ class TestHusimiGrid:
         st = coherent_state(0.0, 10)
         with pytest.raises(ValueError):
             husimi_grid(st, (-1, 1), (-1, 1), 1)
+
+    @staticmethod
+    def log_space_reference(grid, state):
+        gamma = grid.x[None, :] + 1j * grid.y[:, None]
+        return np.abs(coherent_amplitudes(gamma, state.n_trunc)
+                      @ state.amplitudes.conj()) ** 2 / math.pi
+
+    def test_horner_matches_log_space_overlap_on_fig2_state(self):
+        p = fig2_params(0.25)
+        sol = integrate_wei_norman(p, 8.0, tol=1e-10)
+        st = evolved_state(p, sol, 2.0, 66)
+        g = husimi_grid(st, (-8, 8), (-8, 8), 101)
+        assert np.abs(g.values - self.log_space_reference(g, st)).max() < 1e-14
+
+    @pytest.mark.parametrize("alpha", [30.0, 25 + 10j])
+    def test_horner_rescaling_stays_finite_at_large_amplitude(self, alpha):
+        # grid corners reach |gamma|^2 ~ 2400, where e^{|gamma|^2/2} overflows
+        st = coherent_state(alpha)
+        hw = abs(alpha) + 5.0
+        g = husimi_grid(st, (-hw, hw), (-hw, hw), 61)
+        assert np.all(np.isfinite(g.values)) and g.values.min() >= 0.0
+        assert g.values.max() > 0.1
+        assert np.abs(g.values - self.log_space_reference(g, st)).max() < 1e-12
+
+    def test_horner_rescaling_keeps_low_levels_of_a_two_level_state(self):
+        # weight on a middle and a high level: cells rescaled by the high
+        # level must still add the low one, scaled alike, where Q ~ 5e-3
+        amps = np.zeros(1201, dtype=complex)
+        amps[180] = amps[1200] = 1.0 / math.sqrt(2.0)
+        st = FockState(amps, normalized=True)
+        g = husimi_grid(st, (-35, 35), (-35, 35), 61)
+        assert np.all(np.isfinite(g.values)) and g.values.max() > 1e-3
+        assert np.abs(g.values - self.log_space_reference(g, st)).max() < 1e-12
+
+    def test_peak_between_two_cells_counts_once(self):
+        # a Gaussian centred midway between the columns x = 0 and x = 0.4,
+        # with the tie its symmetry implies made exact
+        x = np.linspace(-2.0, 2.0, 11)
+        xx, yy = np.meshgrid(x, x)
+        q = np.exp(-(xx - 0.2) ** 2 - yy ** 2)
+        q[5, 6] = q[5, 5]
+        peaks = find_grid_peaks(PhaseSpaceGrid(x=x, y=x, values=q.copy()))
+        assert [(px, py) for px, py, _ in peaks] == [(0.0, 0.0)]
+        q[5, 6] = np.nextafter(q[5, 5], 1.0)
+        peaks = find_grid_peaks(PhaseSpaceGrid(x=x, y=x, values=q.copy()))
+        assert [(px, py) for px, py, _ in peaks] == [(x[6], 0.0)]
 
     def test_closed_form_matches_generic_overlap(self):
         # factorized-evolution closed form against the generic |<gamma|psi>|^2

@@ -197,6 +197,39 @@ class TestSchrodingerPropagator:
                 number_state(0, 2), 2.0, tol=1e-16)
         assert time.perf_counter() - start < 0.5
 
+    @staticmethod
+    def commuting_run(level, tol):
+        # a diagonal H(t): the step's error estimate is rounding alone, often
+        # exactly 0, which must not let the run crawl on forever
+        calls = []
+
+        def hamiltonian(t):
+            calls.append(t)
+            if len(calls) > 2000:  # two evaluations per advance call
+                raise RuntimeError("more than 1000 advance calls")
+            return (1.0 + t / 10.0) * np.diag([0.5, 1.5, 2.5])
+
+        return integrate_schrodinger(hamiltonian, number_state(level, 3),
+                                     2.0, tol=tol)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_budget_under_rounding_floor_refused_when_steps_commute(
+            self, level):
+        with pytest.raises(StepSizeError, match="underflow"):
+            self.commuting_run(level, 1e-16)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_budget_at_rounding_floor_ends_when_steps_commute(self, level):
+        # tol * h starts above the floor (2e-17), so only rejections of
+        # rounding-size estimates could bring the run to the floor mid-way
+        try:
+            out = self.commuting_run(level, 1e-14)[-1]
+        except StepSizeError:
+            return
+        expected = np.zeros(3, dtype=complex)
+        expected[level] = np.exp(-1j * (0.5 + level) * 2.2)
+        assert np.abs(out - expected).max() < 1e-14
+
     def test_non_hermitian_hamiltonian_refused(self):
         h = np.array([[1.0, 0.5], [0.0, -1.0]])
         with pytest.raises(ValueError, match="Hermitian"):
