@@ -176,7 +176,8 @@ class WeiNormanSolution:
 
     def __post_init__(self):
         for name in ("times", "x1", "x2", "x3"):
-            arr = np.asarray(getattr(self, name))
+            # a view: freezing it leaves the caller's array writeable
+            arr = np.asarray(getattr(self, name)).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -56,8 +56,9 @@ class AutocorrSeries:
     revival_times: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=np.complex128)
+        # views: freezing them leaves the caller's arrays writeable
+        times = np.asarray(self.times, dtype=float).view()
+        values = np.asarray(self.values, dtype=np.complex128).view()
         if times.size != values.size or times.size == 0:
             raise ValueError("times and values must match and be non-empty")
         times.flags.writeable = False
@@ -161,7 +162,8 @@ class PhaseSpaceGrid:
 
     def __post_init__(self):
         for name in ("x", "y", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            # a view: freezing it leaves the caller's array writeable
+            arr = np.asarray(getattr(self, name), dtype=float).view()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         if self.values.shape != (self.y.size, self.x.size):

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from kerrosc.driven import DriveSpec
 from kerrosc.evolution import (
     ModelParams,
+    WeiNormanSolution,
     _checked_coefficients,
     _evolved_amplitudes,
     drive_coefficient,
@@ -24,6 +25,8 @@ from kerrosc.fock import (
     poisson_tail,
 )
 from kerrosc.integrators import StepSizeError
+
+from test_observables import assert_frozen_view
 
 
 def cosine_params(omega0=1.0, chi=0.0, alpha=0.0):
@@ -234,6 +237,15 @@ class TestWeiNorman:
         with pytest.raises(StepSizeError) as exc:
             integrate_wei_norman(p, 1.0, samples=3)
         assert exc.value.t == 0.0
+
+    def test_frozen_fields_leave_the_callers_arrays_writeable(self):
+        p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
+        times = np.linspace(0.0, 1.0, 3)
+        x1, x2, x3 = (np.zeros(3, dtype=complex) for _ in range(3))
+        sol = WeiNormanSolution(params=p, times=times, x1=x1, x2=x2, x3=x3)
+        for field, own in ((sol.times, times), (sol.x1, x1), (sol.x2, x2),
+                           (sol.x3, x3)):
+            assert_frozen_view(field, own)
 
 
 class TestEvolvedState:

@@ -179,6 +179,31 @@ class TestDetectRevivals:
             detect_revivals(ser, 0.5)
 
 
+def assert_frozen_view(field, own):
+    """A result container's field is a read-only view of the caller's array,
+    which stays writeable."""
+    assert np.shares_memory(field, own)
+    with pytest.raises(ValueError, match="read-only"):
+        field[0] = 0.0
+    own[0] = 2.0
+
+
+class TestFrozenFields:
+    def test_autocorr_series(self):
+        times, values = np.array([0.0, 1.0]), np.array([1.0 + 0j, 0.5 + 0j])
+        ser = AutocorrSeries(times=times, values=values)
+        assert_frozen_view(ser.times, times)
+        assert_frozen_view(ser.values, values)
+
+    def test_phase_space_grid(self):
+        x = np.linspace(-1.0, 1.0, 3)
+        q = np.ones((3, 3))
+        grid = PhaseSpaceGrid(x=x, y=x, values=q)
+        assert_frozen_view(grid.x, x)
+        assert_frozen_view(grid.y, x)
+        assert_frozen_view(grid.values, q)
+
+
 class TestHusimiGrid:
     def test_coherent_state_gaussian(self):
         alpha = 1.5

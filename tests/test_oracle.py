@@ -12,10 +12,15 @@ from kerrosc.fock import FockState, coherent_state, number_state
 from kerrosc.integrators import StepSizeError
 from kerrosc.oracle import (
     OracleError,
+    OracleRun,
+    _diagonal_energies,
+    _exact_pair,
     fidelity,
     integrate_exact,
     integrate_schrodinger,
 )
+
+from test_observables import assert_frozen_view
 
 
 class TestIntegrateExact:
@@ -103,6 +108,36 @@ class TestIntegrateExact:
                 "rejected steps") in caplog.text
         assert "peak norm drift" in caplog.text
         assert "peak boundary population" in caplog.text
+        found = re.search(r"([\d.]+) s wall, ([\d.]+) us per attempted step",
+                          caplog.text)
+        assert found
+        wall, per_step = float(found.group(1)), float(found.group(2))
+        attempted = run.accepted_steps + run.rejected_steps
+        assert wall > 0.0 and per_step > 0.0
+        # wall is printed to the millisecond
+        assert per_step * attempted == pytest.approx(1e6 * wall, abs=1e3)
+
+    def test_step_counts_pinned_in_the_fig2_regime(self):
+        # a quarter of the fig. 2 run (chi = 0.25, alpha = 3, 66 levels, the
+        # same sample density); rounding in the step kernel must not move one
+        # accept/reject decision, so the counts are exact
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
+        t_end = 2 * math.pi
+        run = integrate_exact(p, coherent_state(3.0, 66), t_end, tol=1e-10,
+                              sample_times=np.linspace(0.0, t_end, 501))
+        assert (run.accepted_steps, run.rejected_steps) == (1853, 1)
+
+    def test_frozen_fields_leave_the_callers_arrays_writeable(self):
+        p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
+        times, states = np.array([0.0, 1.0]), np.ones((2, 3), dtype=complex)
+        drift = np.zeros(2)
+        run = OracleRun(params=p, n_trunc=3, times=times, states=states,
+                        norm_drift=drift, accepted_steps=1, rejected_steps=0,
+                        budget=1e-10)
+        for field, own in ((run.times, times), (run.states, states),
+                           (run.norm_drift, drift)):
+            assert_frozen_view(field, own)
 
     def test_rejects_unsorted_sample_times(self):
         p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
@@ -115,6 +150,47 @@ class TestIntegrateExact:
         bad = FockState(np.ones(20) * 0.1)
         with pytest.raises(ValueError, match="normalized"):
             integrate_exact(p, bad, 1.0)
+
+
+class TestExactPair:
+    @staticmethod
+    def triple_jump(psi, t, h, p, n):
+        """Yoshida's triple jump of Strang substeps, each factor a dense
+        scipy expm of its own generator."""
+        from scipy.linalg import expm
+        levels = np.arange(n)
+        h0 = np.diag(p.omega0 * (levels + 0.5) + p.chi * levels ** 2.0)
+        ladder = np.sqrt(np.arange(1, n))
+        v = (np.diag(ladder, 1) + np.diag(ladder, -1)) \
+            / math.sqrt(2.0 * p.omega0)
+        w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+        start = 0.0
+        for w in (w1, 1.0 - 2.0 * w1, w1):
+            tau, mid = w * h, t + (start + 0.5 * w) * h
+            phase = expm(-0.5j * tau * h0)
+            psi = phase @ (expm(-1j * tau * p.drive(mid) * v) @ (phase @ psi))
+            start += w
+        return psi
+
+    @pytest.mark.parametrize("chi, n", [(0.25, 66), (0.0, 203)],
+                             ids=["fig2-66", "kerr-free-203"])
+    def test_matches_three_dense_triple_jumps(self, chi, n):
+        p = ModelParams(omega0=1.0, chi=chi,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi /= np.linalg.norm(psi)
+        t, h = 1.3, 0.02
+        ladder = np.sqrt(np.arange(1, n))
+        d, u = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
+        full, halves = _exact_pair(psi, t, h, p.drive,
+                                   _diagonal_energies(p, n),
+                                   d / math.sqrt(2.0), u)
+        expected = self.triple_jump(
+            self.triple_jump(psi, t, 0.5 * h, p, n), t + 0.5 * h, 0.5 * h,
+            p, n)
+        assert np.abs(full - self.triple_jump(psi, t, h, p, n)).max() < 1e-13
+        assert np.abs(halves - expected).max() < 1e-13
 
 
 class TestFidelity:
@@ -255,6 +331,8 @@ class TestSchrodingerPropagator:
 
     def test_step_telemetry_reported(self, caplog):
         assert self.accepted_steps(caplog, 1e-9) > 0
+        assert re.search(r"budget 1e-09 per unit step, [\d.]+ s wall, "
+                         r"[\d.]+ us per attempted step$", caplog.text.strip())
 
     def test_step_is_fourth_order(self, caplog):
         # a budget of tol per unit step and a local error ~ h**5 give
