@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, emit_config, load_config
-from .driven import displacement_amplitude, energy_level as driven_level
+from .driven import displacement_amplitude, energy_level
 from .evolution import (
     ModelParams,
     WeiNormanSolution,
@@ -199,6 +199,10 @@ def run_husimi(cfg: ScenarioConfig, out: Path, tol: float,
                trunc: int | None, fmt: str) -> list[Path]:
     params = _model_params(cfg)
     t_max = max(tau / cfg.omega0 for tau in cfg.husimi_times)
+    try:
+        params.drive(t_max)
+    except ValueError as exc:  # past a tabulated drive's window
+        raise ConfigError(f"husimi.times: {exc}") from exc
     sol = integrate_wei_norman(params, max(t_max, 1e-12), tol=tol,
                                samples=cfg.samples)
     n_trunc = trunc if trunc is not None else _auto_truncation(cfg, sol)
@@ -227,13 +231,15 @@ def run_husimi(cfg: ScenarioConfig, out: Path, tol: float,
 def run_spectrum(cfg: ScenarioConfig, out: Path, tol: float,
                  trunc: int | None, fmt: str) -> list[Path]:
     drive, freq = cfg.drive(), cfg.frequency()
-    rows = []
-    for t in cfg.spectrum_times:
-        lam = displacement_amplitude(drive, freq, t)
-        for n in range(cfg.spectrum_n_max + 1):
-            rows.append((n, t, driven_level(n, drive, freq, t), lam))
+    n, t = np.meshgrid(np.arange(cfg.spectrum_n_max + 1), cfg.spectrum_times)
+    try:
+        columns = [n, t, energy_level(n, drive, freq, t),
+                   displacement_amplitude(drive, freq, t)]
+    except ValueError as exc:  # past a tabulated drive's window
+        raise ConfigError(f"spectrum.times: {exc}") from exc
     path = out / f"spectrum.{fmt}"
-    _write_table(path, ["n", "t", "E_n", "lambda_t"], np.asarray(rows),
+    _write_table(path, ["n", "t", "E_n", "lambda_t"],
+                 np.column_stack([c.ravel() for c in columns]),
                  _metadata(cfg, "spectrum", tol, trunc), fmt)
     return [path]
 
@@ -243,20 +249,19 @@ def run_timemap(cfg: ScenarioConfig, out: Path, tol: float,
     mass, freq = cfg.mass(), cfg.frequency()
     times = np.linspace(0.0, cfg.t_end, cfg.samples)
     cols = ["t", "tau", "mass", "omega_star"]
-    base = [(t, rescaled_time(mass, float(t)), mass(float(t)),
-             transformed_frequency(mass, freq, float(t))) for t in times]
-    rows = np.asarray(base)
+    columns = [times, rescaled_time(mass, times), mass(times),
+               transformed_frequency(mass, freq, times)]
     if mass.kind == "exponential" and cfg.k == 0.0:
-        extra = []
-        for t in times:
-            qp = heisenberg_coefficients(mass.m0, cfg.omega0, mass.rate,
-                                         float(t))
-            extra.append([qp.c_qq, qp.c_qp, qp.c_pq, qp.c_pp,
-                          qp.symplectic_determinant()])
+        try:
+            qp = heisenberg_coefficients(mass.m0, cfg.omega0, mass.rate, times)
+        except ValueError as exc:  # the overdamped regime
+            raise ConfigError(f"mass.rate: {exc}") from exc
         cols += ["c_qq", "c_qp", "c_pq", "c_pp", "det"]
-        rows = np.column_stack([rows, np.asarray(extra)])
+        columns += [qp.c_qq, qp.c_qp, qp.c_pq, qp.c_pp,
+                    qp.symplectic_determinant()]
     path = out / f"timemap.{fmt}"
-    _write_table(path, cols, rows, _metadata(cfg, "timemap", tol, trunc), fmt)
+    _write_table(path, cols, np.column_stack(columns),
+                 _metadata(cfg, "timemap", tol, trunc), fmt)
     return [path]
 
 

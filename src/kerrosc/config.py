@@ -45,14 +45,14 @@ def _reject_unknown(node: dict, allowed: set[str], where: str):
 
 def _number(node: dict, key: str, where: str, default=None,
             required: bool = False) -> float:
+    name = f"{where}.{key}" if where else key
     if key not in node:
         if required:
-            raise ConfigError(f"{where}.{key}: required key missing")
+            raise ConfigError(f"{name}: required key missing")
         return default
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, "
-                          f"got {value!r}")
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
     return float(value)
 
 
@@ -61,7 +61,8 @@ def _integer(node: dict, key: str, where: str, default=None) -> int:
         return default
     value = node[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+        name = f"{where}.{key}" if where else key
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
     return value
 
 
@@ -295,27 +296,15 @@ def parse_config(text: str) -> ScenarioConfig:
     spectrum_times = _float_list(spec_node, "times", "spectrum",
                                  default=[0.0])
 
-    truncation = root.get("truncation", None)
+    truncation = root.get("truncation")  # null: automatic sizing
     if truncation is not None:
-        if isinstance(truncation, bool) or not isinstance(truncation, int):
-            raise ConfigError(f"truncation: expected an integer, "
-                              f"got {truncation!r}")
+        truncation = _integer(root, "truncation", "")
         if truncation < 1:
             raise ConfigError("truncation: must be at least 1")
-
-    tolerance = root.get("tolerance", 1e-10)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)):
-        raise ConfigError(f"tolerance: expected a number, got {tolerance!r}")
-    tolerance = float(tolerance)
+    tolerance = _number(root, "tolerance", "", default=1e-10)
     if tolerance <= 0.0:
         raise ConfigError("tolerance: must be positive")
-
-    revival_threshold = root.get("revival_threshold", 0.5)
-    if isinstance(revival_threshold, bool) or \
-            not isinstance(revival_threshold, (int, float)):
-        raise ConfigError(f"revival_threshold: expected a number, "
-                          f"got {revival_threshold!r}")
-    revival_threshold = float(revival_threshold)
+    revival_threshold = _number(root, "revival_threshold", "", default=0.5)
     if revival_threshold <= 0.0:
         raise ConfigError("revival_threshold: must be positive")
 

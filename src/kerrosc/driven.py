@@ -39,7 +39,8 @@ _MAX_HERMITE = 200
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Classical drive e(t): zero, constant, cosine, or tabulated samples."""
+    """Classical drive e(t): zero, constant, cosine, or tabulated samples.
+    Called with a time or an array of times; a scalar time gives a float."""
 
     kind: str
     value: float = 0.0
@@ -47,7 +48,7 @@ class DriveSpec:
     frequency: float = 0.0
     times: np.ndarray | None = None
     values: np.ndarray | None = None
-    _spline: object = field(default=None, repr=False, compare=False)
+    _interp: object = field(default=None, repr=False, compare=False)
 
     @classmethod
     def zero(cls) -> "DriveSpec":
@@ -64,34 +65,42 @@ class DriveSpec:
 
     @classmethod
     def tabulated(cls, times, values) -> "DriveSpec":
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.size < 2 or times.size != values.size:
-            raise ValueError("tabulated drive needs matching 1-D samples")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("tabulated drive times must increase strictly")
+        times, values = _tabulated_samples(times, values, "drive")
         from scipy.interpolate import CubicSpline  # lazy: slow import
         return cls(kind="tabulated", times=times, values=values,
-                   _spline=CubicSpline(times, values))
+                   _interp=CubicSpline(times, values))
 
     def __call__(self, t):
-        if self.kind == "zero":
-            return np.zeros(np.shape(t)) if np.ndim(t) else 0.0
-        if self.kind == "constant":
-            return np.full(np.shape(t), self.value) if np.ndim(t) \
-                else self.value
-        if self.kind == "cosine":
-            if np.ndim(t):
-                return self.amplitude * np.cos(self.frequency * np.asarray(t))
-            return self.amplitude * math.cos(self.frequency * t)
-        if self.kind == "tabulated":
-            t_arr = np.asarray(t, dtype=float)
-            if np.any(t_arr < self.times[0] - 1e-12) or \
-                    np.any(t_arr > self.times[-1] + 1e-12):
-                raise ValueError("drive sampled outside its tabulated window")
-            out = self._spline(t_arr)
-            return out if np.ndim(t) else float(out)
-        raise ValueError(f"unknown drive kind {self.kind!r}")
+        t = np.asarray(t, dtype=float)
+        if self.kind in ("zero", "constant"):  # value 0 when zero
+            out = np.full(t.shape, self.value)
+        elif self.kind == "cosine":
+            out = self.amplitude * np.cos(self.frequency * t)
+        elif self.kind == "tabulated":
+            out = _interpolated(self, t, "drive")
+        else:
+            raise ValueError(f"unknown drive kind {self.kind!r}")
+        return out[()]
+
+
+def _tabulated_samples(times, values, name: str):
+    """A tabulated spec's samples: matching, 1-D, strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or times.size < 2 or times.size != values.size:
+        raise ValueError(f"tabulated {name} needs matching 1-D samples")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError(f"tabulated {name} times must increase strictly")
+    return times, values
+
+
+def _interpolated(spec, t: np.ndarray, name: str) -> np.ndarray:
+    """A tabulated spec's interpolant at t, refused outside its window."""
+    if np.any(t < spec.times[0] - 1e-12) or \
+            np.any(t > spec.times[-1] + 1e-12):
+        raise ValueError(f"{name} sampled outside its tabulated window "
+                         f"[{spec.times[0]:g}, {spec.times[-1]:g}]")
+    return spec._interp(t)
 
 
 @dataclass(frozen=True)
@@ -99,6 +108,7 @@ class FrequencySpec:
     """Modulated frequency Omega(t) = Omega0 [1 + 2 k cos(2 Omega0 t)].
 
     The modulation depth k must stay below 1/2 so the frequency is positive.
+    Called with a time or an array of times, like `DriveSpec`.
     """
 
     omega0: float
@@ -111,26 +121,22 @@ class FrequencySpec:
             raise ValueError("confinement parameter k must lie in [0, 1/2)")
 
     def __call__(self, t):
-        if self.k == 0.0:
-            return np.full(np.shape(t), self.omega0) if np.ndim(t) \
-                else self.omega0
+        t = np.asarray(t, dtype=float)
         return self.omega0 * (1.0 + 2.0 * self.k
-                              * np.cos(2.0 * self.omega0 * np.asarray(t)))
+                              * np.cos(2.0 * self.omega0 * t))
 
 
-def displacement_amplitude(drive: DriveSpec, frequency: FrequencySpec,
-                           t: float) -> float:
+def displacement_amplitude(drive: DriveSpec, frequency: FrequencySpec, t):
     """lambda_t = e(t) / (Omega(t) sqrt(2 Omega(t)))."""
     omega = frequency(t)
-    if np.any(np.asarray(omega) <= 0.0):
+    if np.any(omega <= 0.0):
         raise ValueError("frequency must be positive")
     return drive(t) / (omega * np.sqrt(2.0 * omega))
 
 
-def energy_level(n: int, drive: DriveSpec, frequency: FrequencySpec,
-                 t: float) -> float:
-    """Shifted level (n + 1/2 - lambda_t^2) Omega(t), hbar = 1."""
-    if n < 0:
+def energy_level(n, drive: DriveSpec, frequency: FrequencySpec, t):
+    """Level (n + 1/2 - lambda_t^2) Omega(t), hbar = 1; n and t broadcast."""
+    if np.any(np.asarray(n) < 0):
         raise ValueError("level index must be non-negative")
     lam = displacement_amplitude(drive, frequency, t)
     return (n + 0.5 - lam ** 2) * frequency(t)

@@ -142,16 +142,16 @@ def linearized_ladder(params: ModelParams, n: int, t: float,
         _nu_t=nu * t)
 
 
-def drive_coefficient(params: ModelParams, t) -> complex:
-    """Averaged interaction-picture drive coefficient.
+def drive_coefficient(params: ModelParams, t):
+    """Averaged interaction-picture drive coefficient, at a time or an array.
 
     g(t) = e(t)/sqrt(2 Omega0) exp(-i t (Omega0 + chi))
     exp(|alpha|^2 (exp(-2 i chi t) - 1)); the number-dependent phase has been
     replaced by its average over the initial coherent state.
     """
+    t = np.asarray(t, dtype=float)
     e_t = params.drive(t)
     mu = abs(params.alpha) ** 2
-    t = np.asarray(t) if np.ndim(t) else t
     phase = np.exp(-1j * (params.omega0 + params.chi) * t)
     averaging = np.exp(mu * (np.exp(-2j * params.chi * t) - 1.0))
     return e_t / np.sqrt(2.0 * params.omega0) * phase * averaging

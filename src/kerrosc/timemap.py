@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .driven import FrequencySpec
+from .driven import (DriveSpec, FrequencySpec, _interpolated,
+                     _tabulated_samples, energy_level as _driven_level)
 from .fock import FockState
 from .integrators import _panel_quadrature
 
@@ -39,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MassSpec:
-    """Oscillator mass m(t) > 0: constant, exponential, or tabulated."""
+    """Oscillator mass m(t) > 0: constant, exponential, or tabulated.
+    Called with a time or an array of times, like `DriveSpec`."""
 
     kind: str
     m0: float = 1.0
@@ -64,12 +66,7 @@ class MassSpec:
     @classmethod
     def tabulated(cls, times, values) -> "MassSpec":
         """Monotone-cubic interpolation through positive mass samples."""
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if times.ndim != 1 or times.size < 2 or times.size != values.size:
-            raise ValueError("tabulated mass needs matching 1-D samples")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("tabulated mass times must increase strictly")
+        times, values = _tabulated_samples(times, values, "mass")
         if np.any(values <= 0.0):
             raise ValueError("mass samples must be positive")
         from scipy.interpolate import PchipInterpolator  # lazy: slow import
@@ -77,45 +74,46 @@ class MassSpec:
                    _interp=PchipInterpolator(times, values))
 
     def __call__(self, t):
-        if self.kind == "constant":
-            return np.full(np.shape(t), self.m0) if np.ndim(t) else self.m0
-        if self.kind == "exponential":
-            return self.m0 * np.exp(self.rate * np.asarray(t)) if np.ndim(t) \
-                else self.m0 * math.exp(self.rate * t)
-        if self.kind == "tabulated":
-            t_arr = np.asarray(t, dtype=float)
-            if np.any(t_arr < self.times[0] - 1e-12) or \
-                    np.any(t_arr > self.times[-1] + 1e-12):
-                raise ValueError("mass sampled outside its tabulated window")
-            m = self._interp(t_arr)
-            if np.any(m <= 0.0):
+        t = np.asarray(t, dtype=float)
+        if self.kind in ("constant", "exponential"):  # rate 0 when constant
+            out = self.m0 * np.exp(self.rate * t)
+        elif self.kind == "tabulated":
+            out = _interpolated(self, t, "mass")
+            if np.any(out <= 0.0):
                 raise ValueError("interpolated mass is non-positive")
-            return m if np.ndim(t) else float(m)
-        raise ValueError(f"unknown mass kind {self.kind!r}")
+        else:
+            raise ValueError(f"unknown mass kind {self.kind!r}")
+        return out[()]
 
 
-def rescaled_time(mass: MassSpec, t: float) -> float:
+def rescaled_time(mass: MassSpec, t):
     """tau(t) = integral_0^t dt'/m(t'); strictly increasing, tau(0) = 0.
 
     Closed forms for constant and exponential masses; a tabulated one takes
-    1/m, analytic per knot segment, to the kernel of `kerrosc.integrators`.
+    1/m, analytic per knot segment, to the kernel of `kerrosc.integrators`:
+    tau at the knots once, then one panel set from the knot below each t.
     """
-    if t < 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
         raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return 0.0
-    if mass.kind == "constant":
-        return t / mass.m0
-    if mass.kind == "exponential":
-        if mass.rate == 0.0:
-            return t / mass.m0
-        return -math.expm1(-mass.rate * t) / (mass.rate * mass.m0)
-    return float(_knot_tau(mass, t)[1][-1])
+    if mass.kind == "tabulated":
+        edges, knot_tau = _knot_tau(mass)
+        k = np.searchsorted(edges, t, side="right") - 1
+        tau = knot_tau[k] + _panel_quadrature(
+            lambda s, _: 1.0 / mass(s), edges[k].ravel(), t.ravel(),
+            0.0).reshape(t.shape)
+    elif mass.kind not in ("constant", "exponential"):
+        raise ValueError(f"unknown mass kind {mass.kind!r}")
+    elif mass.rate == 0.0:  # every constant mass
+        tau = t / mass.m0
+    else:
+        tau = -np.expm1(-mass.rate * t) / (mass.rate * mass.m0)
+    return tau[()]
 
 
-def _knot_tau(mass: MassSpec, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Edges of the knot segments in [0, t] and tau at each edge."""
-    edges = np.unique(np.clip(np.concatenate(([0.0, t], mass.times)), 0.0, t))
+def _knot_tau(mass: MassSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of the knot segments from 0 to the window's end, tau at each."""
+    edges = np.unique(np.clip(np.concatenate(([0.0], mass.times)), 0.0, None))
     steps = _panel_quadrature(lambda s, _: 1.0 / mass(s), edges[:-1],
                               edges[1:], 0.0)
     return edges, np.concatenate(([0.0], np.cumsum(steps)))
@@ -138,7 +136,7 @@ def physical_time(mass: MassSpec, tau: float) -> float:
             raise ValueError(f"tau={tau} beyond the reachable horizon "
                              f"{1.0 / (mass.rate * mass.m0):.6g}")
         return -math.log(arg) / mass.rate
-    edges, knot_tau = _knot_tau(mass, mass.times[-1])
+    edges, knot_tau = _knot_tau(mass)
     if knot_tau[-1] < tau:
         raise ValueError("tau beyond the tabulated window")
     k = int(np.searchsorted(knot_tau[1:-1], tau, side="right"))
@@ -146,23 +144,21 @@ def physical_time(mass: MassSpec, tau: float) -> float:
     t = lo + (hi - lo) * (tau - knot_tau[k]) / (knot_tau[k + 1] - knot_tau[k])
     step = math.inf
     while True:
-        new = mass(t) * (rescaled_time(mass, t) - tau)
+        new = mass(t) * (knot_tau[k] + _panel_quadrature(
+            lambda s, _: 1.0 / mass(s), [lo], [t], 0.0)[0] - tau)
         if not abs(new) < abs(step):
             return t
         t, step = min(max(t - new, lo), hi), new
 
 
-def transformed_frequency(mass: MassSpec, frequency: FrequencySpec,
-                          t: float) -> float:
+def transformed_frequency(mass: MassSpec, frequency: FrequencySpec, t):
     """omega(t) = m(t) Omega(t), the constant-mass-picture frequency."""
     return mass(t) * frequency(t)
 
 
-def energy_level(n: int, frequency: FrequencySpec, t: float) -> float:
-    """Instantaneous level Omega(t)(n + 1/2); the mass drops out (hbar = 1)."""
-    if n < 0:
-        raise ValueError("level index must be non-negative")
-    return frequency(t) * (n + 0.5)
+def energy_level(n, frequency: FrequencySpec, t):
+    """Omega(t)(n + 1/2): `driven.energy_level` at zero drive; no mass term."""
+    return _driven_level(n, DriveSpec.zero(), frequency, t)
 
 
 @dataclass(frozen=True)
@@ -170,23 +166,24 @@ class HeisenbergQP:
     """Coefficients expressing q(t), p(t) in terms of q(0), p(0).
 
     q(t) = c_qq q(0) + c_qp p(0) and p(t) = c_pq q(0) + c_pp p(0).  Unitarity
-    of the evolution pins the determinant of the matrix to one.
+    of the evolution pins the determinant of the matrix to one.  Each
+    coefficient is a float, or an array shaped like the times asked for.
     """
 
-    c_qq: float
-    c_qp: float
-    c_pq: float
-    c_pp: float
+    c_qq: float | np.ndarray
+    c_qp: float | np.ndarray
+    c_pq: float | np.ndarray
+    c_pp: float | np.ndarray
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.c_qq, self.c_qp], [self.c_pq, self.c_pp]])
 
-    def symplectic_determinant(self) -> float:
+    def symplectic_determinant(self):
         return self.c_qq * self.c_pp - self.c_qp * self.c_pq
 
 
 def heisenberg_coefficients(m0: float, omega0: float, rate: float,
-                            t: float) -> HeisenbergQP:
+                            t) -> HeisenbergQP:
     """Closed-form Heisenberg trajectory for mass m0 exp(rate t), frequency omega0.
 
     Only the oscillatory branch 4 omega0^2 > rate^2 is defined; the angle
@@ -202,14 +199,15 @@ def heisenberg_coefficients(m0: float, omega0: float, rate: float,
             f"<= rate^2 = {rate**2:.6g}")
     f_osc = math.sqrt(disc)
     theta = math.atan2(f_osc, rate)
+    t = np.asarray(t, dtype=float)
     half = 0.5 * f_osc * t
-    decay = math.exp(-0.5 * rate * t)
-    growth = math.exp(0.5 * rate * t)
+    decay = np.exp(-0.5 * rate * t)
+    growth = np.exp(0.5 * rate * t)
     return HeisenbergQP(
-        c_qq=(2.0 * omega0 / f_osc) * decay * math.sin(half + theta),
-        c_qp=(2.0 / (m0 * f_osc)) * decay * math.sin(half),
-        c_pq=-(2.0 * m0 * omega0 ** 2 / f_osc) * growth * math.sin(half),
-        c_pp=-(2.0 * omega0 / f_osc) * growth * math.sin(half - theta),
+        c_qq=(2.0 * omega0 / f_osc) * decay * np.sin(half + theta),
+        c_qp=(2.0 / (m0 * f_osc)) * decay * np.sin(half),
+        c_pq=-(2.0 * m0 * omega0 ** 2 / f_osc) * growth * np.sin(half),
+        c_pp=-(2.0 * omega0 / f_osc) * growth * np.sin(half - theta),
     )
 
 

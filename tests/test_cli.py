@@ -29,6 +29,13 @@ mass: {kind: exponential, m0: 1.0, rate: 0.3}
 time: {t_end: 2.0, samples: 41}
 """
 
+TABULATED_DRIVE_MODEL = """
+model: {omega0: 1.0, chi: 0.1}
+drive: {kind: tabulated, times: [0.0, 1.0, 2.0, 3.0],
+        values: [0.0, 0.4, -0.2, 0.3]}
+time: {t_end: 3.0, samples: 61}
+"""
+
 
 @pytest.fixture()
 def cfg_file(tmp_path):
@@ -140,6 +147,23 @@ class TestSubcommands:
         lam = 1.0 / math.sqrt(2.0)
         assert data[0, 2] == pytest.approx(0.5 - lam ** 2)
 
+    def test_spectrum_table_matches_a_per_point_loop(self, tmp_path):
+        cfg = tmp_path / "spec.yaml"
+        cfg.write_text("model: {omega0: 1.2, k: 0.2}\n"
+                       "drive: {kind: cos, amplitude: 0.6, frequency: 0.7}\n"
+                       "spectrum: {n_max: 4, times: [0.0, 0.3, 1.7, 2.2]}\n")
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(out),
+                     "--format", "json"]) == 0
+        rows = json.loads((out / "spectrum.json").read_text())["rows"]
+        expected = []
+        for t in (0.0, 0.3, 1.7, 2.2):
+            omega = 1.2 * (1.0 + 0.4 * math.cos(2.4 * t))
+            lam = 0.6 * math.cos(0.7 * t) / (omega * math.sqrt(2.0 * omega))
+            expected += [(n, t, (n + 0.5 - lam ** 2) * omega, lam)
+                         for n in range(5)]
+        np.testing.assert_allclose(rows, expected, rtol=1e-14, atol=1e-16)
+
     def test_timemap_table(self, tmp_path):
         cfg = tmp_path / "tm.yaml"
         cfg.write_text(TIMEMAP_MODEL)
@@ -218,3 +242,36 @@ class TestExitCodes:
     def test_tolerance_override_validated(self, cfg_file, tmp_path):
         assert main(["simulate", "--config", str(cfg_file),
                      "--out", str(tmp_path), "--tol", "-1.0"]) == 2
+
+    def test_overdamped_timemap_names_mass_rate(self, tmp_path, capsys):
+        cfg = tmp_path / "od.yaml"
+        cfg.write_text("model: {omega0: 1.0}\n"
+                       "mass: {kind: exponential, m0: 1.0, rate: 2.5}\n")
+        assert main(["timemap", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error[config]: mass.rate: overdamped" in err
+
+    def test_husimi_past_tabulated_drive_names_husimi_times(self, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "tab.yaml"
+        cfg.write_text(TABULATED_DRIVE_MODEL)
+        # the default snapshot times reach 8 pi, past the window's end at 3,
+        # and refuse only the subcommand that runs them
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert main(["husimi", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error[config]: husimi.times: drive sampled outside" in err
+
+    def test_spectrum_past_tabulated_drive_names_spectrum_times(self, tmp_path,
+                                                                capsys):
+        cfg = tmp_path / "tab.yaml"
+        cfg.write_text(TABULATED_DRIVE_MODEL
+                       + "spectrum: {times: [0.0, 1.5, 4.0]}\n")
+        assert main(["spectrum", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "error[config]: spectrum.times: drive sampled outside" in err

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from kerrosc.driven import FrequencySpec
+from kerrosc.driven import DriveSpec, FrequencySpec
+from kerrosc.driven import energy_level as driven_energy_level
 from kerrosc.fock import FockState, coherent_state, momentum_operator, position_operator
 from kerrosc.oracle import fidelity, integrate_schrodinger
 from kerrosc.timemap import (
@@ -18,6 +19,53 @@ from kerrosc.timemap import (
     rescaled_time,
     transformed_frequency,
 )
+
+
+# Every time function takes a time or an array of times through one path.
+# Knots of the tabulated specs sit at 0, 1, 2, 3, 4; the times hit knots and
+# fall between them.
+_KNOTS = [0.0, 1.0, 2.0, 3.0, 4.0]
+_TIMES = np.array([0.0, 0.1, 0.5, 1.0, 1.3, 2.0, 2.45, 3.1, 4.0])
+_COSINE = DriveSpec.cosine(0.8, 1.3)
+_MODULATED = FrequencySpec(1.2, 0.2)
+ONE_PATH = {
+    "drive-zero": DriveSpec.zero(),
+    "drive-constant": DriveSpec.constant(0.7),
+    "drive-cosine": _COSINE,
+    "drive-tabulated": DriveSpec.tabulated(_KNOTS, [0.0, 0.5, -0.3, 0.8, 0.1]),
+    "mass-constant": MassSpec.constant(1.4),
+    "mass-exponential": MassSpec.exponential(0.9, 0.3),
+    "mass-tabulated": MassSpec.tabulated(_KNOTS, [1.0, 1.2, 0.9, 1.5, 2.0]),
+    "frequency-k0": FrequencySpec(1.2),
+    "frequency-k": _MODULATED,
+    "energy-level": lambda t: driven_energy_level(3, _COSINE, _MODULATED, t),
+}
+for _kind in ("constant", "exponential", "tabulated"):
+    ONE_PATH[f"rescaled-time-{_kind}"] = (
+        lambda t, m=ONE_PATH[f"mass-{_kind}"]: rescaled_time(m, t))
+for _name in ("c_qq", "c_qp", "c_pq", "c_pp"):
+    ONE_PATH[f"heisenberg-{_name}"] = (lambda t, c=_name: getattr(
+        heisenberg_coefficients(1.1, 1.0, 0.4, t), c))
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PATH))
+def test_array_call_matches_scalar_calls(name):
+    f = ONE_PATH[name]
+    scalars = [f(float(t)) for t in _TIMES]
+    assert all(isinstance(value, float) for value in scalars)  # no 0-d array
+    whole = f(_TIMES)
+    assert isinstance(whole, np.ndarray) and whole.shape == _TIMES.shape
+    np.testing.assert_allclose(whole, scalars, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(f(_TIMES.reshape(3, 3)),
+                                  whole.reshape(3, 3))
+
+
+def test_energy_level_broadcasts_levels_against_times():
+    levels = np.arange(5)[:, None]
+    table = driven_energy_level(levels, _COSINE, _MODULATED, _TIMES)
+    loop = [[driven_energy_level(n, _COSINE, _MODULATED, float(t))
+             for t in _TIMES] for n in range(5)]
+    np.testing.assert_allclose(table, loop, rtol=1e-14, atol=0.0)
 
 
 class TestRescaledTime:
