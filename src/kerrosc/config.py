@@ -334,9 +334,11 @@ def parse_config(text: str) -> ScenarioConfig:
         revival_threshold=revival_threshold,
     )
     # Constructing the module specs re-runs their own validity checks.
-    cfg.drive()
-    cfg.mass()
-    cfg.frequency()
+    for section, spec in (("drive", cfg.drive), ("mass", cfg.mass)):
+        try:
+            spec()
+        except ValueError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
     return cfg
 
 

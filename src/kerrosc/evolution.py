@@ -201,8 +201,7 @@ class WeiNormanSolution:
                                    0.0)  # tol 0: the budget floor
             x[:, off] = _coefficients(
                 g0 + d_g, x[0, off].imag - (g0.conj() * d_g + d_q).imag)
-        return tuple(complex(v[0]) if np.ndim(t) == 0
-                     else v.reshape(np.shape(t)) for v in x)
+        return tuple(v.reshape(np.shape(t))[()] for v in x)
 
     def x1_at(self, t):
         return self._at(t)[0]

@@ -6,17 +6,15 @@ number-squared term included) and V = (a + a^dagger)/sqrt(2 Omega0), by a
 unitary split-step scheme.  V is diagonalized once; a Strang step is then
 "diagonal phase, dense rotate, diagonal phase", and Yoshida's triple jump
 (Phys. Lett. A 150:262, 1990) composes three of them to fourth order.  Each
-attempted step is one call of `_exact_pair`: the full step and the first half
-step run in lockstep as the two columns of one state, so every dense rotation
-is one real product on both, and the two outer half-phases where the half
-steps meet merge into one phase.  One drive call and two `exp` calls serve
-the 9 substeps.  It shares no code with the approximate branches, so it
-stays an independent route to the answer.  `integrate_schrodinger` is the
-generic dense-matrix variant used to validate the time-reparametrization
-theorem: a unitary 4th-order commutator-free Magnus step (Blanes & Moan,
-Appl. Numer. Math. 56:1519, 2006), each exponential applied through `eigh`.
-Both run under one step-doubling controller, `_step_doubling`, and read tol
-as the same error budget per unit step.
+attempted step, the full step and its two half steps, is one `_exact_pair`
+call on buffers made once per run.  It shares no code with the approximate
+branches, so it stays an independent route to the answer.
+`integrate_schrodinger`, the generic dense-matrix variant used to validate
+the time-reparametrization theorem, takes unitary 4th-order commutator-free
+Magnus steps (Blanes & Moan, Appl. Numer. Math. 56:1519, 2006) through
+`eigh`, in real arithmetic where H(t) is real.  Both run under one
+step-doubling controller, `_step_doubling`, and read tol as the same error
+budget per unit step.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -118,7 +117,24 @@ def _diagonal_energies(params: ModelParams, n_trunc: int) -> np.ndarray:
     return params.omega0 * (n + 0.5) + params.chi * n.astype(float) ** 2
 
 
-def _exact_pair(psi, t, h, drive, energies, d, u):
+def _pair_workspace(n: int) -> tuple:
+    """`_exact_pair`'s buffers on n levels, and their views per rotation."""
+    rot, phases, x, y, y1 = (np.empty(shape, np.complex128) for shape in
+                             ((n, 9), (2, n, 2), (n, 2), (n, 2), (n, 1)))
+    # full[:, j] and half[:, j]: the full and half step's outer (j = 0) and
+    # inner (j = 1) energy phase, paired as x's columns in outer and inner.
+    full, half = phases
+    outer, inner = phases.T
+    steps = [(x, y, rot[:, 2 * k:2 * k + 2], phase) for k, phase in
+             enumerate((inner, inner, full[:, :1]))]
+    steps += [(x[:, 1:], y1, rot[:, 6 + k:7 + k], phase) for k, phase in
+              enumerate((half[:, 1:], half[:, 1:], half[:, :1]))]
+    return rot, full, half, outer, x, [
+        (s, s.view(np.float64), b, b.view(np.float64), r, phase)
+        for s, b, r, phase in steps]
+
+
+def _exact_pair(psi, t, h, drive, energies, d, u, work=None):
     """The 4th-order step of length h from psi at t, and its two half steps.
 
     Each step is Yoshida's triple jump of Strang substeps
@@ -127,26 +143,19 @@ def _exact_pair(psi, t, h, drive, energies, d, u):
     junction of the two half steps too.  The full step and the first half
     step run in lockstep as the two columns of one state, so each rotation
     is one real product U^T @ x.view(float) on both; one drive call and two
-    `exp` calls serve all 9 substeps.  Returns (full, halves)."""
+    `exp` calls serve all 9 substeps in work.  Returns fresh (full, halves)."""
+    rot, full, half, outer, x, steps = work or _pair_workspace(d.size)
     e = drive(t + h * _PAIR_MIDS)
-    rot = np.exp(np.multiply.outer(d, -1j * h * _PAIR_WEIGHTS * e))
-    half = np.exp(np.multiply.outer(energies, h * _HALF_PHASES))
-    # phases[:, j] is [full, half] of the outer (j = 0) and inner (j = 1)
-    # energy phase; the outer phase of the full step ends both columns.
-    phases = np.stack((half * half, half), axis=2)
-    x = psi[:, None] * phases[:, 0]
-    for k, phase in enumerate((phases[:, 1], phases[:, 1], phases[:, 0, :1])):
-        y = (u.T @ x.view(np.float64)).view(np.complex128)
-        y *= rot[:, 2 * k:2 * k + 2]
-        x = (u @ y.view(np.float64)).view(np.complex128)
-        x *= phase
-    z = x[:, 1:]
-    for k, phase in enumerate((half[:, 1:], half[:, 1:], half[:, :1])):
-        y = (u.T @ z.view(np.float64)).view(np.complex128)
-        y *= rot[:, 6 + k:7 + k]
-        z = (u @ y.view(np.float64)).view(np.complex128)
-        z *= phase
-    return x[:, 0], z[:, 0]
+    np.exp(np.multiply.outer(d, -1j * h * _PAIR_WEIGHTS * e, out=rot), out=rot)
+    np.exp(np.multiply.outer(energies, h * _HALF_PHASES, out=half), out=half)
+    np.multiply(half, half, out=full)
+    np.multiply(psi[:, None], outer, out=x)
+    for s, s_float, b, b_float, r, phase in steps:
+        np.matmul(u.T, s_float, out=b_float)
+        b *= r
+        np.matmul(u, b_float, out=s_float)
+        s *= phase
+    return x[:, 0].copy(), x[:, 1].copy()
 
 
 def _wall_time(start: float, attempted: int) -> str:
@@ -269,8 +278,8 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
         / math.sqrt(2.0 * params.omega0)
     d, u = np.linalg.eigh(coupling)
 
-    def pair(psi, t, h):
-        return _exact_pair(psi, t, h, params.drive, energies, d, u)
+    pair = partial(_exact_pair, drive=params.drive, energies=energies, d=d,
+                   u=u, work=_pair_workspace(n_trunc))
 
     states, accepted, rejected = _step_doubling(
         pair, psi0.amplitudes, t_end, times, tol)
@@ -313,7 +322,7 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
     Parameters
     ----------
     hamiltonian : callable
-        t -> Hermitian complex ndarray (n, n).
+        t -> Hermitian ndarray (n, n), in real arithmetic if real-valued.
     psi0 : FockState
     t_end : float
     tol : float
@@ -338,11 +347,15 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
     if sample_times is None:
         sample_times = np.array([t_end])
 
+    arithmetic = set()
+
     def hermitian(t):
         h = np.asarray(hamiltonian(t))
+        h = h if np.any(h.imag) else h.real  # real-valued: real `eigh`
         if np.linalg.norm(h - h.conj().T) \
                 > _HERMITIAN_RTOL * np.linalg.norm(h):
             raise ValueError(f"hamiltonian is not Hermitian at t={t:.6g}")
+        arithmetic.add("complex" if np.iscomplexobj(h) else "real")
         return h
 
     def cf4(psi, t, h):
@@ -359,9 +372,10 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
     states, accepted, rejected = _step_doubling(
         pair, psi0.amplitudes, float(t_end),
         np.asarray(sample_times, dtype=float), tol)
-    logger.debug("integrate_schrodinger: %d accepted, %d rejected steps, "
-                 "budget %g per unit step, %s", accepted, rejected, tol,
-                 _wall_time(start, accepted + rejected))
+    logger.debug("integrate_schrodinger (%s arithmetic): %d accepted, %d "
+                 "rejected steps, budget %g per unit step, %s",
+                 " and ".join(sorted(arithmetic, reverse=True)), accepted,
+                 rejected, tol, _wall_time(start, accepted + rejected))
     return states
 
 

@@ -275,3 +275,33 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error[config]: spectrum.times: drive sampled outside" in err
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("spectrum",
+         "model: {omega0: 1.0, chi: 0.1}\n"
+         "drive: {kind: tabulated, times: [0, 20, 10, 30],\n"
+         "        values: [0.0, 0.4, -0.2, 0.3]}\n"
+         "time: {t_end: 3.0, samples: 61}\n",
+         "drive: tabulated drive times must increase strictly"),
+        ("timemap",
+         "model: {omega0: 1.0}\n"
+         "mass: {kind: tabulated, times: [0.0, 1.0, 2.0, 3.0],\n"
+         "       values: [1.0, 0.0, 1.2, 1.3]}\n"
+         "time: {t_end: 2.0, samples: 41}\n",
+         "mass: mass samples must be positive"),
+        ("simulate",
+         "model: {omega0: 1.0, chi: 0.1}\n"
+         "drive: {kind: tabulated, times: [0.0, 1.0, 2.0, 3.0],\n"
+         "        values: [0.0, .nan, -0.2, 0.3]}\n"
+         "time: {t_end: 3.0, samples: 61}\n",
+         "drive: "),
+    ], ids=["unsorted-drive-times", "non-positive-mass", "nan-drive-knot"])
+    def test_spec_check_failure_names_its_section(self, tmp_path, capsys,
+                                                  command, text, message):
+        # the drive and mass specs' own checks, re-run when the config is
+        # parsed, end in exit 2 like every other config error
+        cfg = tmp_path / "spec.yaml"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 2
+        assert f"error[config]: {message}" in capsys.readouterr().err

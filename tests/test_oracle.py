@@ -15,6 +15,7 @@ from kerrosc.oracle import (
     OracleRun,
     _diagonal_energies,
     _exact_pair,
+    _pair_workspace,
     fidelity,
     integrate_exact,
     integrate_schrodinger,
@@ -192,6 +193,46 @@ class TestExactPair:
         assert np.abs(full - self.triple_jump(psi, t, h, p, n)).max() < 1e-13
         assert np.abs(halves - expected).max() < 1e-13
 
+    def test_returns_fresh_arrays_from_a_reused_workspace(self):
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
+        n = 30
+        psi = coherent_state(1.0, n).amplitudes
+        ladder = np.sqrt(np.arange(1, n))
+        d, u = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
+        args = (p.drive, _diagonal_energies(p, n), d, u)
+        work = _pair_workspace(n)
+        first = _exact_pair(psi, 0.5, 0.01, *args, work)
+        kept = [a.copy() for a in first]
+        second = _exact_pair(first[1], 0.51, 0.01, *args, work)
+        arrays = [psi, *first, *second]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        # the second call leaves the first call's results as they were, and
+        # a reused workspace gives what a fresh one gives
+        for a, b in zip(first, kept):
+            assert np.array_equal(a, b)
+        for a, b in zip(second, _exact_pair(kept[1], 0.51, 0.01, *args)):
+            assert np.array_equal(a, b)
+
+    def test_runs_at_other_truncations_leave_no_trace(self):
+        # each run fills its own workspace: interleaved runs at two
+        # truncations are bit-identical to the same runs repeated
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
+        times = np.linspace(0.0, 1.0, 11)
+
+        def run(n):
+            return integrate_exact(p, coherent_state(1.0, n), 1.0, tol=1e-9,
+                                   sample_times=times)
+
+        first = [run(n) for n in (30, 45)]
+        for before, after in zip(first, [run(n) for n in (30, 45)]):
+            assert np.array_equal(before.states, after.states)
+            assert (before.accepted_steps, before.rejected_steps) \
+                == (after.accepted_steps, after.rejected_steps)
+
 
 class TestFidelity:
     def test_self_fidelity(self):
@@ -305,6 +346,47 @@ class TestSchrodingerPropagator:
         expected = np.zeros(3, dtype=complex)
         expected[level] = np.exp(-1j * (0.5 + level) * 2.2)
         assert np.abs(out - expected).max() < 1e-14
+
+    @staticmethod
+    def logged_run(caplog, hamiltonian, **kwargs):
+        """States of a 5-level run from the first level over [0, 2], and its
+        telemetry line."""
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+            states = integrate_schrodinger(
+                hamiltonian, number_state(0, 5), 2.0,
+                sample_times=np.linspace(0.0, 2.0, 5), **kwargs)
+        records = [r.getMessage() for r in caplog.records
+                   if r.getMessage().startswith("integrate_schrodinger")]
+        assert len(records) == 1
+        return states, records[0]
+
+    def test_real_valued_complex_hamiltonian_runs_as_real(self, caplog):
+        # a complex128 H(t) with zero imaginary part is narrowed to its real
+        # part: the run is the float64 run, to the bit and the step
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(5, 5))
+        a, b = m + m.T, np.diag(np.arange(5.0))
+
+        def real(t):
+            return a + math.cos(3.0 * t) * b
+
+        got, line = self.logged_run(caplog,
+                                    lambda t: real(t).astype(np.complex128))
+        want, want_line = self.logged_run(caplog, real)
+        assert np.array_equal(got, want)
+        steps = re.compile(r"\d+ accepted, \d+ rejected steps")
+        assert steps.search(line).group() == steps.search(want_line).group()
+        assert line.startswith("integrate_schrodinger (real arithmetic): ")
+        assert want_line.startswith(
+            "integrate_schrodinger (real arithmetic): ")
+
+    def test_complex_hamiltonian_telemetry_says_complex(self, caplog):
+        h = np.diag(np.arange(5.0)) + 0.3j * (np.eye(5, k=1) - np.eye(5, k=-1))
+        _, line = self.logged_run(caplog, lambda t: h, tol=1e-9)
+        assert line.startswith("integrate_schrodinger (complex arithmetic): ")
+        assert re.search(r"budget 1e-09 per unit step, [\d.]+ s wall, "
+                         r"[\d.]+ us per attempted step$", line)
 
     def test_non_hermitian_hamiltonian_refused(self):
         h = np.array([[1.0, 0.5], [0.0, -1.0]])
