@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ScenarioConfig, emit_config, load_config
+from .config import (ConfigError, ScenarioConfig, checked_value, emit_config,
+                     load_config)
 from .driven import displacement_amplitude, energy_level
 from .evolution import (
     ModelParams,
@@ -298,13 +299,13 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        # the overrides pass the checks of the keys they replace
+        tol = (cfg.tolerance if args.tol is None
+               else checked_value("tolerance", args.tol, "--tol"))
+        trunc = (cfg.truncation if args.trunc is None
+                 else checked_value("truncation", args.trunc, "--trunc"))
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    tol = args.tol if args.tol is not None else cfg.tolerance
-    trunc = args.trunc if args.trunc is not None else cfg.truncation
-    if tol <= 0.0:
-        print("error[config]: --tol must be positive", file=sys.stderr)
         return EXIT_CONFIG
     try:
         written = _RUNNERS[args.subcommand](cfg, Path(args.out), tol, trunc,

@@ -243,6 +243,19 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg_file),
                      "--out", str(tmp_path), "--tol", "-1.0"]) == 2
 
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("simulate", "--tol", "nan", "must be finite, got nan"),
+        ("simulate", "--tol", "inf", "must be finite, got inf"),
+        ("husimi", "--trunc", "-3", "must be at least 1"),
+        ("oracle", "--trunc", "0", "must be at least 1"),
+    ], ids=["tol-nan", "tol-inf", "trunc-negative", "trunc-zero"])
+    def test_overrides_pass_the_config_checks(self, cfg_file, tmp_path, capsys,
+                                              command, flag, value, message):
+        # --tol and --trunc are checked like the tolerance and truncation keys
+        assert main([command, "--config", str(cfg_file),
+                     "--out", str(tmp_path), flag, value]) == 2
+        assert f"error[config]: {flag}: {message}" in capsys.readouterr().err
+
     def test_overdamped_timemap_names_mass_rate(self, tmp_path, capsys):
         cfg = tmp_path / "od.yaml"
         cfg.write_text("model: {omega0: 1.0}\n"
