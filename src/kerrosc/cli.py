@@ -152,11 +152,8 @@ def run_variances(cfg: ScenarioConfig, out: Path, tol: float,
                   trunc: int | None, fmt: str) -> list[Path]:
     xis = np.linspace(cfg.variances_xi_min, cfg.variances_xi_max,
                       cfg.variances_samples)
-    rows = np.empty((xis.size, 3))
-    for i, xi in enumerate(xis):
-        rq, rp = quadrature_variance_ratios(
-            KerrStateParams(cfg.variances_beta, float(xi)))
-        rows[i] = (xi, rq, rp)
+    rows = np.column_stack([xis, *quadrature_variance_ratios(
+        KerrStateParams(cfg.variances_beta, xis))])
     path = out / f"variances.{fmt}"
     _write_table(path, ["xi", "ratio_q", "ratio_p"], rows,
                  _metadata(cfg, "variances", tol, trunc), fmt)

@@ -10,7 +10,6 @@ Mandel Q parameter, and the closed-form normalized quadrature variances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,14 +38,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KerrStateParams:
-    """Amplitude beta and dimensionless Kerr phase xi = chi * t."""
+    """Amplitude beta and dimensionless Kerr phase xi = chi * t; an array xi
+    serves `quadrature_variance_ratios` alone."""
 
     beta: complex
-    xi: float = 0.0
+    xi: float | np.ndarray = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "beta", complex(self.beta))
-        object.__setattr__(self, "xi", float(self.xi))
+        xi = np.asarray(self.xi, dtype=float)
+        object.__setattr__(self, "xi", xi if xi.ndim else float(xi))
 
 
 def kerr_state(params: KerrStateParams, n_trunc: int | None = None) -> FockState:
@@ -58,7 +59,7 @@ def kerr_state(params: KerrStateParams, n_trunc: int | None = None) -> FockState
         If the Poisson tail beyond n_trunc exceeds 1e-12.
     """
     amps = coherent_state(params.beta, n_trunc).amplitudes
-    kerr_phase = np.exp(-1j * params.xi * np.arange(amps.size) ** 2)
+    kerr_phase = np.exp(-1j * float(params.xi) * np.arange(amps.size) ** 2)
     return FockState(amps * kerr_phase, normalized=True, renormalized=True)
 
 
@@ -76,7 +77,7 @@ def deformed_ladder(xi: float, n_trunc: int) -> FockOperator:
 def modified_displacement(params: KerrStateParams, n_trunc: int) -> FockOperator:
     """exp(beta B^dag - conj(beta) B); applied to vacuum it builds the state."""
     from scipy.linalg import expm  # lazy: slow import
-    b = deformed_ladder(params.xi, n_trunc).matrix
+    b = deformed_ladder(float(params.xi), n_trunc).matrix
     return FockOperator(expm(params.beta * b.conj().T
                              - np.conj(params.beta) * b))
 
@@ -89,22 +90,23 @@ def excitation_distribution(params: KerrStateParams,
     return np.abs(coherent_amplitudes(params.beta, n_trunc)) ** 2
 
 
-def quadrature_variance_ratios(params: KerrStateParams) -> tuple[float, float]:
+def quadrature_variance_ratios(params: KerrStateParams) -> tuple:
     """Normalized quadrature widths (dq_xi/dq_0, dp_xi/dp_0).
 
-    Closed forms in |beta|, phi = arg beta and xi; both ratios equal one at
-    xi = 0 where the state is coherent and minimum-uncertainty.
+    Closed forms in |beta|, phi = arg beta and xi, broadcast over an array
+    xi; both ratios equal one at xi = 0, where the state is coherent and
+    minimum-uncertainty.
     """
     b2 = abs(params.beta) ** 2
     phi = np.angle(params.beta)
     xi = params.xi
-    pair_term = 2.0 * b2 * math.exp(-2.0 * b2 * math.sin(2.0 * xi) ** 2) \
-        * math.cos(2.0 * phi - 4.0 * xi - b2 * math.sin(4.0 * xi))
-    mean_angle = phi - xi - b2 * math.sin(2.0 * xi)
-    mean_sq = 4.0 * b2 * math.exp(-4.0 * b2 * math.sin(xi) ** 2)
-    rq2 = 2.0 * b2 + 1.0 + pair_term - mean_sq * math.cos(mean_angle) ** 2
-    rp2 = 2.0 * b2 + 1.0 - pair_term - mean_sq * math.sin(mean_angle) ** 2
-    return math.sqrt(max(rq2, 0.0)), math.sqrt(max(rp2, 0.0))
+    pair_term = 2.0 * b2 * np.exp(-2.0 * b2 * np.sin(2.0 * xi) ** 2) \
+        * np.cos(2.0 * phi - 4.0 * xi - b2 * np.sin(4.0 * xi))
+    mean_angle = phi - xi - b2 * np.sin(2.0 * xi)
+    mean_sq = 4.0 * b2 * np.exp(-4.0 * b2 * np.sin(xi) ** 2)
+    rq2 = 2.0 * b2 + 1.0 + pair_term - mean_sq * np.cos(mean_angle) ** 2
+    rp2 = 2.0 * b2 + 1.0 - pair_term - mean_sq * np.sin(mean_angle) ** 2
+    return np.sqrt(np.maximum(rq2, 0.0)), np.sqrt(np.maximum(rp2, 0.0))
 
 
 class MandelResult(NamedTuple):

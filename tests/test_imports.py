@@ -30,3 +30,18 @@ def test_timemap_loads_scipy_only_for_a_tabulated_mass():
                        "tm.MassSpec.tabulated([0.0, 1.0], [1.0, 2.0])",
                        ("scipy",))
     assert "scipy.interpolate" in tabulated
+
+
+def test_block_schrodinger_run_loads_no_scipy():
+    # check 5's route: the parity blocks of its oscillator are found with
+    # numpy alone, and the exponential mass map needs no interpolation
+    code = ("import math; import numpy as np; "
+            "from kerrosc import fock, oracle, timemap; "
+            "q = fock.position_operator(12).matrix; "
+            "p = fock.momentum_operator(12).matrix; "
+            "mass = timemap.MassSpec.exponential(1.0, 0.3); "
+            "w = lambda s: math.exp(0.3 * timemap.physical_time(mass, s)); "
+            "oracle.integrate_schrodinger("
+            "lambda s: 0.5 * p @ p + 0.5 * w(s) ** 2 * q @ q, "
+            "fock.number_state(0, 12), 1.0)")
+    assert loaded(code, ("scipy",)) == []

@@ -170,6 +170,22 @@ class TestQuadratureVarianceRatios:
                for x in xis]
         assert min(rqs) < 1.0
 
+    def test_array_xi_matches_scalar_calls(self):
+        # one broadcast call, as `kerrosc variances` makes, keeps xi's shape
+        # and agrees with the scalar calls up to the rounding of np.exp
+        beta = 1.2 * np.exp(0.7j)
+        xis = np.linspace(0.0, 2 * math.pi, 24).reshape(4, 6)
+        rq, rp = quadrature_variance_ratios(KerrStateParams(beta, xis))
+        assert rq.shape == rp.shape == xis.shape
+        want = np.array([quadrature_variance_ratios(KerrStateParams(beta, x))
+                         for x in xis.ravel()])
+        np.testing.assert_allclose(np.column_stack([rq.ravel(), rp.ravel()]),
+                                   want, rtol=1e-13, atol=0.0)
+
+    def test_state_constructors_refuse_an_array_xi(self):
+        with pytest.raises(TypeError):
+            kerr_state(KerrStateParams(0.5, np.array([0.1, 0.2])), 20)
+
     def test_pi_periodicity(self):
         for xi in (0.3, 1.1, 2.0):
             r0 = quadrature_variance_ratios(KerrStateParams(0.7, xi))

@@ -8,7 +8,13 @@ import pytest
 
 from kerrosc.driven import DriveSpec
 from kerrosc.evolution import ModelParams, evolved_state, integrate_wei_norman
-from kerrosc.fock import FockState, coherent_state, number_state
+from kerrosc.fock import (
+    FockState,
+    coherent_state,
+    momentum_operator,
+    number_state,
+    position_operator,
+)
 from kerrosc.integrators import StepSizeError
 from kerrosc.oracle import (
     OracleError,
@@ -20,6 +26,7 @@ from kerrosc.oracle import (
     integrate_exact,
     integrate_schrodinger,
 )
+from kerrosc.timemap import MassSpec, evolve_via_timemap, physical_time
 
 from test_observables import assert_frozen_view
 
@@ -286,6 +293,76 @@ class TestIntegrateSchrodinger:
         expected = expm(-1j * h * t) @ psi0.amplitudes
         assert np.abs(out - expected).max() < 1e-8
 
+    def test_parity_blocks_of_unequal_size_match_expm(self, caplog):
+        # 7 levels coupled only within a parity: blocks of 4 and 3 levels
+        from scipy.linalg import expm
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(7, 7))
+        levels = np.arange(7)
+        h = np.where((levels[:, None] - levels) % 2 == 0, m + m.T, 0.0)
+        v = rng.normal(size=7) + 1j * rng.normal(size=7)
+        psi0 = FockState(v / np.linalg.norm(v), normalized=True)
+        with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+            out = integrate_schrodinger(lambda t: h, psi0, 1.3, tol=1e-10)[-1]
+        assert np.abs(out - expm(-1.3j * h) @ psi0.amplitudes).max() < 1e-10
+        assert "(real arithmetic): 1 block of 3 levels and 1 block of 4 " \
+            "levels, " in caplog.text
+
+    def test_coupling_switched_on_mid_run_is_kept(self, caplog):
+        # block-diagonal for t < 1, fully coupled from t = 1: the cached
+        # partition must merge, not apply the second half block by block
+        from scipy.linalg import expm
+        rng = np.random.default_rng(4)
+        n = 6
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        b = m + m.conj().T
+        a = np.where((np.arange(n)[:, None] < 3) == (np.arange(n) < 3),
+                     b.real, 0.0)
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi0 = FockState(v / np.linalg.norm(v), normalized=True)
+        with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+            got = integrate_schrodinger(lambda t: a if t < 1.0 else b, psi0,
+                                        2.0, tol=1e-10,
+                                        sample_times=np.array([1.0, 2.0]))
+        first = expm(-1j * a) @ psi0.amplitudes
+        assert np.abs(got[0] - first).max() < 1e-10
+        assert np.abs(got[1] - expm(-1j * b) @ first).max() < 1e-10
+        assert "(real and complex arithmetic): 1 block of 6 levels, " \
+            in caplog.text
+
+    def test_check5_partition_and_step_counts(self, caplog):
+        # check 5's oscillator conserves parity: two blocks of 20 levels, and
+        # the step counts of its four runs in call order
+        n, rate = 40, 0.3
+        mass = MassSpec.exponential(1.0, rate)
+        q2 = position_operator(n).matrix @ position_operator(n).matrix
+        p2 = momentum_operator(n).matrix @ momentum_operator(n).matrix
+        psi0 = coherent_state(1.0, n)
+
+        def h_direct(t):
+            m = math.exp(rate * t)
+            return p2 / (2 * m) + 0.5 * m * q2
+
+        def h_star(tau):
+            w = math.exp(rate * physical_time(mass, tau))
+            return 0.5 * p2 + 0.5 * w * w * q2
+
+        def evolver_star(psi, tau):
+            out = integrate_schrodinger(h_star, psi, tau, tol=1e-9)[-1]
+            return FockState(out / np.linalg.norm(out), normalized=True)
+
+        with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+            for t_end in (2.5, 5.0):
+                integrate_schrodinger(h_direct, psi0, t_end, tol=1e-9)
+                evolve_via_timemap(psi0, mass, evolver_star, t_end)
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("integrate_schrodinger")]
+        steps = [re.match(r"integrate_schrodinger \(real arithmetic\): 2 "
+                          r"blocks of 20 levels, (\d+) accepted, 0 rejected "
+                          r"steps, ", line) for line in lines]
+        assert all(steps)
+        assert [int(s.group(1)) for s in steps] == [49, 62, 182, 252]
+
 
 class TestSchrodingerPropagator:
     def test_agrees_with_the_exact_oracle_on_the_kerr_hamiltonian(self):
@@ -392,6 +469,12 @@ class TestSchrodingerPropagator:
         h = np.array([[1.0, 0.5], [0.0, -1.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             integrate_schrodinger(lambda t: h, number_state(0, 2), 1.0)
+
+    def test_hamiltonian_of_another_size_refused(self):
+        # the blocks index H by the state's levels, so a larger H must not
+        # run on its leading block
+        with pytest.raises(ValueError, match="Hermitian 2x2"):
+            integrate_schrodinger(lambda t: np.eye(3), number_state(0, 2), 1.0)
 
     @staticmethod
     def accepted_steps(caplog, tol):
