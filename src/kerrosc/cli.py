@@ -68,11 +68,35 @@ def _write_table(path: Path, columns: list[str], rows: np.ndarray,
         else:
             lines.append(f"# {key}: {value}")
     lines.append(",".join(columns))
-    # one %-format call for the body; "%.12g" % v == f"{v:.12g}" for every
-    # float, nan, infinities and -0.0 included
-    row = ",".join(["%.12g"] * len(columns)) + "\n"
-    body = row * len(rows) % tuple(rows.ravel().tolist())
-    path.write_text("\n".join(lines) + "\n" + body, encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n" + _csv_body(rows),
+                    encoding="utf-8")
+
+
+def _csv_body(rows: np.ndarray) -> str:
+    """The CSV rows as "%.12g" % v of each value, in one %-format call.
+
+    A column with at most half as many distinct values as rows (a grid
+    coordinate) has each distinct float64 bit pattern formatted once, so
+    -0.0 and 0.0 keep their own text; a mostly-distinct column goes in as
+    floats, where the lookup would cost more than it saves.
+    """
+    cells, fmts = np.empty(rows.shape, dtype=object), []
+    for j, col in enumerate(rows.T):
+        bits = col.view(np.int64)
+        distinct = np.sort(bits)  # np.unique hashes: slower here
+        new = np.ones(distinct.size, dtype=bool)
+        np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
+        distinct = distinct[new]
+        if 2 * distinct.size > col.size:
+            cells[:, j] = col.tolist()
+            fmts.append("%.12g")
+        else:
+            text = np.array(["%.12g" % v for v in
+                             distinct.view(np.float64).tolist()], dtype=object)
+            cells[:, j] = text[np.searchsorted(distinct, bits)]
+            fmts.append("%s")
+    row = ",".join(fmts) + "\n"
+    return row * len(rows) % tuple(cells.ravel().tolist())
 
 
 def _model_params(cfg: ScenarioConfig) -> ModelParams:
@@ -204,6 +228,7 @@ def run_husimi(cfg: ScenarioConfig, out: Path, tol: float,
     sol = integrate_wei_norman(params, max(t_max, 1e-12), tol=tol,
                                samples=cfg.samples)
     n_trunc = trunc if trunc is not None else _auto_truncation(cfg, sol)
+    meta = _metadata(cfg, "husimi", tol, n_trunc)  # one config text per run
     written = []
     for idx, tau in enumerate(cfg.husimi_times):
         t = tau / cfg.omega0
@@ -212,16 +237,14 @@ def run_husimi(cfg: ScenarioConfig, out: Path, tol: float,
                                resolution=cfg.grid_resolution, n_trunc=n_trunc)
         xx, yy = np.meshgrid(grid.x, grid.y)
         rows = np.column_stack([xx.ravel(), yy.ravel(), grid.values.ravel()])
-        meta = _metadata(cfg, "husimi", tol, n_trunc)
-        meta["snapshot_tau"] = tau
-        meta["snapshot_t"] = t
         path = out / f"husimi_{idx:02d}.{fmt}"
-        _write_table(path, ["x", "y", "Q"], rows, meta, fmt)
+        _write_table(path, ["x", "y", "Q"], rows,
+                     {**meta, "snapshot_tau": tau, "snapshot_t": t}, fmt)
         sidecar = out / f"husimi_{idx:02d}.meta.json"
         sidecar.write_text(json.dumps({
             "snapshot_tau": tau, "snapshot_t": t, "total_mass": grid.total_mass(),
             "tolerance": tol, "truncation": n_trunc,
-            "config": emit_config(cfg)}, indent=1) + "\n", encoding="utf-8")
+            "config": meta["config"]}, indent=1) + "\n", encoding="utf-8")
         written += [path, sidecar]
     return written
 

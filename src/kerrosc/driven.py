@@ -56,12 +56,13 @@ class DriveSpec:
 
     @classmethod
     def constant(cls, value: float) -> "DriveSpec":
-        return cls(kind="constant", value=float(value))
+        return cls(kind="constant", value=_finite("drive value", value))
 
     @classmethod
     def cosine(cls, amplitude: float, frequency: float) -> "DriveSpec":
-        return cls(kind="cosine", amplitude=float(amplitude),
-                   frequency=float(frequency))
+        return cls(kind="cosine",
+                   amplitude=_finite("drive amplitude", amplitude),
+                   frequency=_finite("drive frequency", frequency))
 
     @classmethod
     def tabulated(cls, times, values) -> "DriveSpec":
@@ -81,6 +82,14 @@ class DriveSpec:
         else:
             raise ValueError(f"unknown drive kind {self.kind!r}")
         return out[()]
+
+
+def _finite(name: str, value) -> float:
+    """float(value), refused with a message naming it unless finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _tabulated_samples(times, values, name: str):
@@ -115,7 +124,7 @@ class FrequencySpec:
     k: float = 0.0
 
     def __post_init__(self):
-        if self.omega0 <= 0.0:
+        if _finite("omega0", self.omega0) <= 0.0:
             raise ValueError("omega0 must be positive")
         if not 0.0 <= self.k < 0.5:
             raise ValueError("confinement parameter k must lie in [0, 1/2)")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driven import DriveSpec
+from .driven import DriveSpec, _finite
 from .fock import (
     FockState,
     TruncationError,
@@ -56,11 +56,13 @@ class ModelParams:
     alpha: complex = 0.0 + 0.0j
 
     def __post_init__(self):
-        if self.omega0 <= 0.0:
+        if _finite("omega0", self.omega0) <= 0.0:
             raise ValueError("omega0 must be positive")
-        if self.chi < 0.0:
+        if _finite("chi", self.chi) < 0.0:
             raise ValueError("chi must be non-negative")
         object.__setattr__(self, "alpha", complex(self.alpha))
+        if not all(map(math.isfinite, (self.alpha.real, self.alpha.imag))):
+            raise ValueError(f"alpha must be finite, got {self.alpha!r}")
         if self.chi > 0.5 * self.omega0:
             warnings.warn(
                 f"chi/omega0 = {self.chi / self.omega0:.3g} > 0.5: outside "

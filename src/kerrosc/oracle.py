@@ -179,6 +179,7 @@ def _step_doubling(pair, psi0, t_end: float, times: np.ndarray,
     when h falls under 1e-14 of the span, or the budget tol * h under
     `_ESTIMATE_FLOOR`: where the steps commute the estimate is rounding
     alone, exactly 0 as often as not, and h would never shrink to the floor.
+    OracleError when a step's estimate is not finite: the state is lost.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -202,6 +203,9 @@ def _step_doubling(pair, psi0, t_end: float, times: np.ndarray,
             step = (target - t) / pieces
             full, halves = pair(psi, t, step)
             err = np.linalg.norm(halves - full) / 15.0
+            if not math.isfinite(err):  # a NaN or inf drive value, say
+                raise OracleError(f"non-finite state in the step from "
+                                  f"t={t:.6g} to t={t + step:.6g}")
             ok = err <= tol * h
             if ok:
                 psi = halves
@@ -253,7 +257,8 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
     ------
     OracleError
         If the norm drifts beyond 1e-8 or the support reaches the truncation
-        boundary (top-level population above 1e-10).
+        boundary (top-level population above 1e-10), or a step's state is
+        not finite (a NaN or inf drive value); the message names the step.
     StepSizeError
         If the budget tol * h falls under the rounding floor of the error
         estimate (machine epsilon / 15, about 1.5e-17), or the step
@@ -347,8 +352,8 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
     Raises
     ------
     ValueError
-        If H(t) is not an n x n matrix, Hermitian within rounding: `eigh`
-        reads one triangle.
+        If H(t) is not a finite n x n matrix, Hermitian within rounding:
+        `eigh` reads one triangle.
     """
     start = time.perf_counter()
     if sample_times is None:
@@ -381,9 +386,9 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
     def hermitian(t):
         h = np.asarray(hamiltonian(t))
         h = h if np.any(h.imag) else h.real  # real-valued: real `eigh`
-        if h.shape != (n, n) or np.linalg.norm(h - h.conj().T) \
-                > _HERMITIAN_RTOL * np.linalg.norm(h):
-            raise ValueError(f"hamiltonian is not a Hermitian {n}x{n} "
+        if h.shape != (n, n) or not np.isfinite(h).all() or np.linalg.norm(
+                h - h.conj().T) > _HERMITIAN_RTOL * np.linalg.norm(h):
+            raise ValueError(f"hamiltonian is not a finite Hermitian {n}x{n} "
                              f"matrix at t={t:.6g}")
         arithmetic.add("complex" if np.iscomplexobj(h) else "real")
         return h

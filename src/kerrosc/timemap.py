@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .driven import (DriveSpec, FrequencySpec, _interpolated,
+from .driven import (DriveSpec, FrequencySpec, _finite, _interpolated,
                      _tabulated_samples, energy_level as _driven_level)
 from .fock import FockState
 from .integrators import _panel_quadrature
@@ -52,16 +52,17 @@ class MassSpec:
 
     @classmethod
     def constant(cls, m0: float = 1.0) -> "MassSpec":
-        if m0 <= 0.0:
+        if _finite("mass m0", m0) <= 0.0:
             raise ValueError("mass must be positive")
         return cls(kind="constant", m0=float(m0))
 
     @classmethod
     def exponential(cls, m0: float, rate: float) -> "MassSpec":
         """m(t) = m0 exp(rate * t)."""
-        if m0 <= 0.0:
+        if _finite("mass m0", m0) <= 0.0:
             raise ValueError("mass must be positive")
-        return cls(kind="exponential", m0=float(m0), rate=float(rate))
+        return cls(kind="exponential", m0=float(m0),
+                   rate=_finite("mass rate", rate))
 
     @classmethod
     def tabulated(cls, times, values) -> "MassSpec":

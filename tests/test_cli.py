@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from kerrosc import cli
 from kerrosc.cli import _model_params, _write_table, main
-from kerrosc.config import load_config
+from kerrosc.config import emit_config, load_config
 from kerrosc.evolution import evolved_state, integrate_wei_norman
 from kerrosc.fock import coherent_state
 from kerrosc.oracle import fidelity, integrate_exact
@@ -137,6 +138,28 @@ class TestSubcommands:
         assert abs(meta["total_mass"] - 1.0) < 1e-3
         assert (out / "husimi_01.csv").exists()
 
+    def test_husimi_emits_the_config_once_per_run(self, cfg_file, tmp_path,
+                                                  monkeypatch):
+        calls = []
+
+        def counted(cfg):
+            calls.append(cfg)
+            return emit_config(cfg)
+
+        monkeypatch.setattr(cli, "emit_config", counted)
+        out = tmp_path / "out"
+        assert main(["husimi", "--config", str(cfg_file),
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        text = emit_config(load_config(cfg_file))
+        header = "# config:\n" + "".join(
+            f"#   {line}\n" for line in text.rstrip("\n").split("\n"))
+        for idx in range(2):  # the snapshots at tau = 0 and 1.5
+            assert header in (out / f"husimi_{idx:02d}.csv").read_text()
+            sidecar = json.loads(
+                (out / f"husimi_{idx:02d}.meta.json").read_text())
+            assert sidecar["config"] == text
+
     def test_spectrum_table(self, cfg_file, tmp_path):
         out = tmp_path / "out"
         assert main(["spectrum", "--config", str(cfg_file),
@@ -187,28 +210,39 @@ class TestSubcommands:
 
 
 class TestWriteTable:
+    # Columns a, c and d hold at most half as many distinct values as rows,
+    # so each of their distinct values is formatted once: a holds 0.0 beside
+    # -0.0, c a NaN of either sign, d one value throughout.  b is mostly
+    # distinct and is formatted value by value.
     ROWS = np.array([
-        [math.nan, math.inf, -math.inf],
-        [-0.0, 5e-324, 1e300],
-        [3.0, -17.0, 2.0 ** 60],
-        [0.1, -1.0 / 3.0, 123456789012.345678],
+        [math.nan, math.inf, -math.inf, 2.5],
+        [-0.0, 5e-324, 1e300, 2.5],
+        [3.0, -17.0, 2.0 ** 60, 2.5],
+        [0.1, -1.0 / 3.0, 123456789012.345678, 2.5],
+        [0.0, 5e-324, 1e300, 2.5],
+        [-0.0, 7.0, -math.inf, 2.5],
+        [0.0, -1e-300, -math.nan, 2.5],
+        [3.0, 1.0 / 7.0, 1e300, 2.5],
+        [math.nan, 2.0 ** 60, -math.inf, 2.5],
+        [0.1, math.inf, 2.0 ** 60, 2.5],
     ])
+    COLUMNS = ["a", "b", "c", "d"]
     META = {"generator": "test", "config": "a: 1\nb: 2\n"}
 
     def test_csv_body_equals_the_per_value_format(self, tmp_path):
         path = tmp_path / "t.csv"
-        _write_table(path, ["a", "b", "c"], self.ROWS, self.META, "csv")
+        _write_table(path, self.COLUMNS, self.ROWS, self.META, "csv")
         expected = "".join(",".join(f"{v:.12g}" for v in row) + "\n"
                            for row in self.ROWS.tolist())
         assert path.read_bytes() == (
-            "# generator: test\n# config:\n#   a: 1\n#   b: 2\na,b,c\n"
+            "# generator: test\n# config:\n#   a: 1\n#   b: 2\na,b,c,d\n"
             + expected).encode()
 
     def test_json_rows_equal_the_per_value_floats(self, tmp_path):
         path = tmp_path / "t.json"
-        _write_table(path, ["a", "b", "c"], self.ROWS, self.META, "json")
+        _write_table(path, self.COLUMNS, self.ROWS, self.META, "json")
         expected = json.dumps(
-            {"meta": self.META, "columns": ["a", "b", "c"],
+            {"meta": self.META, "columns": self.COLUMNS,
              "rows": [[float(v) for v in row] for row in self.ROWS]},
             indent=1) + "\n"
         assert path.read_text(encoding="utf-8") == expected

@@ -28,6 +28,16 @@ class TestSpecs:
         assert d(0.0) == 2.0
         assert d(math.pi / 3.0) == pytest.approx(2.0 * math.cos(0.5 * math.pi))
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: DriveSpec.cosine(math.nan, 1.0), "drive amplitude"),
+        (lambda: DriveSpec.cosine(1.0, math.inf), "drive frequency"),
+        (lambda: DriveSpec.constant(math.nan), "drive value"),
+        (lambda: FrequencySpec(math.nan), "omega0"),
+    ])
+    def test_non_finite_parameter_refused(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            make()
+
     def test_tabulated_drive_window_enforced(self):
         d = DriveSpec.tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="window"):

@@ -49,6 +49,16 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(omega0=1.0, chi=-0.1)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"omega0": math.nan}, "omega0"),
+        ({"omega0": math.inf}, "omega0"),
+        ({"omega0": 1.0, "chi": math.nan}, "chi"),
+        ({"omega0": 1.0, "alpha": complex(1.0, math.inf)}, "alpha"),
+    ])
+    def test_non_finite_params_refused(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            ModelParams(**kwargs)
+
 
 class TestLinearizedLadder:
     def test_sourceless_case(self):
@@ -119,7 +129,7 @@ class TestLinearizedLadder:
 
     def test_nan_drive_raises_at_the_panel_cap(self):
         p = ModelParams(omega0=1.0, chi=0.25,
-                        drive=DriveSpec.constant(math.nan))
+                        drive=DriveSpec(kind="constant", value=math.nan))
         with pytest.raises(StepSizeError) as exc:
             linearized_ladder(p, 3, 1.0)
         assert exc.value.t == 0.0
@@ -233,7 +243,8 @@ class TestWeiNorman:
 
     def test_refinement_cap_raises(self):
         # a drive that never settles ends at the panel cap, not in a loop
-        p = ModelParams(omega0=1.0, drive=DriveSpec.constant(math.nan))
+        p = ModelParams(omega0=1.0,
+                        drive=DriveSpec(kind="constant", value=math.nan))
         with pytest.raises(StepSizeError) as exc:
             integrate_wei_norman(p, 1.0, samples=3)
         assert exc.value.t == 0.0

@@ -64,6 +64,15 @@ class TestIntegrateExact:
         energies = [float(np.dot(h0, np.abs(s) ** 2)) for s in run.states]
         assert max(energies) - min(energies) < 1e-9
 
+    def test_nan_drive_refused_naming_the_step(self):
+        # `DriveSpec.cosine` refuses a NaN amplitude, so build the spec
+        # directly: the state turns NaN in the first step
+        p = ModelParams(omega0=1.0, chi=0.25, alpha=1.0, drive=DriveSpec(
+            kind="cosine", amplitude=math.nan, frequency=1.0))
+        with pytest.raises(OracleError, match=r"^non-finite state in the "
+                                              r"step from t=0 to t=0\.001$"):
+            integrate_exact(p, coherent_state(1.0, 30), 1.0)
+
     def test_norm_drift_within_bound(self):
         p = ModelParams(omega0=1.0, chi=0.25,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
@@ -331,8 +340,9 @@ class TestIntegrateSchrodinger:
             in caplog.text
 
     def test_check5_partition_and_step_counts(self, caplog):
-        # check 5's oscillator conserves parity: two blocks of 20 levels, and
-        # the step counts of its four runs in call order
+        # check 5's oscillator conserves parity: two blocks of 20 levels, the
+        # step counts of its four runs in call order, and how closely the
+        # direct and the mapped route agree
         n, rate = 40, 0.3
         mass = MassSpec.exponential(1.0, rate)
         q2 = position_operator(n).matrix @ position_operator(n).matrix
@@ -351,10 +361,13 @@ class TestIntegrateSchrodinger:
             out = integrate_schrodinger(h_star, psi, tau, tol=1e-9)[-1]
             return FockState(out / np.linalg.norm(out), normalized=True)
 
+        finals = []
         with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
             for t_end in (2.5, 5.0):
-                integrate_schrodinger(h_direct, psi0, t_end, tol=1e-9)
-                evolve_via_timemap(psi0, mass, evolver_star, t_end)
+                finals.append((
+                    integrate_schrodinger(h_direct, psi0, t_end, tol=1e-9)[-1],
+                    evolve_via_timemap(psi0, mass, evolver_star,
+                                       t_end).amplitudes))
         lines = [r.getMessage() for r in caplog.records
                  if r.getMessage().startswith("integrate_schrodinger")]
         steps = [re.match(r"integrate_schrodinger \(real arithmetic\): 2 "
@@ -362,6 +375,14 @@ class TestIntegrateSchrodinger:
                           r"steps, ", line) for line in lines]
         assert all(steps)
         assert [int(s.group(1)) for s in steps] == [49, 62, 182, 252]
+        # 1 - F of unit states this close is about 1e-19, under rounding; the
+        # distance after aligning the global phase shows the agreement (about
+        # 5.5e-10 at t = 2.5 and 2.7e-10 at t = 5)
+        for direct, mapped in finals:
+            direct = direct / np.linalg.norm(direct)
+            overlap = np.vdot(direct, mapped)
+            assert np.linalg.norm(
+                mapped - overlap / abs(overlap) * direct) <= 1e-8
 
 
 class TestSchrodingerPropagator:
@@ -469,6 +490,22 @@ class TestSchrodingerPropagator:
         h = np.array([[1.0, 0.5], [0.0, -1.0]])
         with pytest.raises(ValueError, match="Hermitian"):
             integrate_schrodinger(lambda t: h, number_state(0, 2), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("start", [0.0, 0.5])
+    def test_non_finite_hamiltonian_refused_naming_t(self, bad, start):
+        # an entry that is not finite from t = 0 on, or only from t = 0.5
+        def h(t):
+            m = np.array([[1.0, 0.5 * math.cos(t)], [0.5 * math.cos(t), -1.0]])
+            if t >= start:
+                m[0, 1] = m[1, 0] = bad
+            return m
+
+        with pytest.raises(ValueError, match="not a finite Hermitian 2x2 "
+                                             "matrix at t=") as exc:
+            integrate_schrodinger(h, number_state(0, 2), 1.0)
+        t = float(str(exc.value).rpartition("t=")[2])
+        assert start <= t < start + 0.1
 
     def test_hamiltonian_of_another_size_refused(self):
         # the blocks index H by the state's levels, so a larger H must not

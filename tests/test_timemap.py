@@ -100,6 +100,15 @@ class TestRescaledTime:
         with pytest.raises(ValueError):
             rescaled_time(MassSpec.constant(1.0), -0.1)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: MassSpec.exponential(math.nan, 0.3), "mass m0"),
+        (lambda: MassSpec.exponential(1.0, math.inf), "mass rate"),
+        (lambda: MassSpec.constant(math.inf), "mass m0"),
+    ])
+    def test_non_finite_mass_parameter_refused(self, make, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            make()
+
     def test_non_positive_mass_rejected(self):
         with pytest.raises(ValueError):
             MassSpec.constant(0.0)
