@@ -4,6 +4,7 @@ Each subcommand reads one YAML scenario, runs the corresponding computation,
 and writes CSV (default) or JSON artifacts whose header block echoes the
 fully-resolved configuration, so runs are reproducible from their outputs
 alone.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+The runners only compute; `main` writes every table through `_writer`.
 """
 
 from __future__ import annotations
@@ -33,28 +34,37 @@ from .observables import autocorrelation_series, husimi_snapshot
 from .oracle import OracleError, integrate_exact
 from .timemap import heisenberg_coefficients, rescaled_time, transformed_frequency
 
-SUBCOMMANDS = ("simulate", "oracle", "variances", "autocorr", "husimi",
-               "spectrum", "timemap")
-
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 _FIDELITY_ROWS = 256  # per oracle fidelity block, to bound the memory
+_SIDECAR_KEYS = ("tolerance", "truncation", "config")  # run keys per sidecar
 
 
-def _metadata(cfg: ScenarioConfig, subcommand: str, tol: float,
-              trunc: int | None) -> dict:
-    return {
-        "generator": f"kerrosc {__version__}",
-        "subcommand": subcommand,
-        "tolerance": tol,
-        "truncation": trunc if trunc is not None else "auto",
-        "config": emit_config(cfg),
-    }
+def _writer(out: Path, fmt: str, run_meta: dict, written: list[Path]):
+    """write(stem, columns, rows, extra_meta), the one output path of a run.
+
+    A table goes to out/<stem>.<fmt> under {**run_meta, **extra_meta}: a run
+    key such as truncation is replaced in place, the table's own keys follow
+    config.  With columns None it is a JSON sidecar, out/<stem>.json: its own
+    keys, then the run's tolerance, truncation and config.
+    """
+    def write(stem, columns, rows, extra_meta):
+        out.mkdir(parents=True, exist_ok=True)
+        meta = {**run_meta, **extra_meta}
+        if columns is None:
+            path = out / f"{stem}.json"
+            doc = {k: v for k, v in meta.items() if k not in run_meta}
+            doc.update((k, meta[k]) for k in _SIDECAR_KEYS)
+            path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        else:
+            path = out / f"{stem}.{fmt}"
+            _write_table(path, columns, rows, meta, fmt)
+        written.append(path)  # so main prints the paths in the order written
+    return write
 
 
 def _write_table(path: Path, columns: list[str], rows: np.ndarray,
                  meta: dict, fmt: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = np.asarray(rows, dtype=float)
     if fmt == "json":
         doc = {"meta": meta, "columns": columns, "rows": rows.tolist()}
@@ -127,24 +137,17 @@ def _wei_norman_rows(cfg: ScenarioConfig, sol) -> tuple[list[str], np.ndarray]:
 
 
 def _auto_truncation(cfg: ScenarioConfig, sol) -> int:
-    if cfg.truncation is not None:
-        return cfg.truncation
     peak = float(np.max(np.abs(sol.eta)))
     return default_truncation(complex(max(peak, abs(cfg.alpha)))) + 10
 
 
-def run_simulate(cfg: ScenarioConfig, out: Path, tol: float,
-                 trunc: int | None, fmt: str) -> list[Path]:
+def run_simulate(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     params = _model_params(cfg)
     sol = integrate_wei_norman(params, cfg.t_end, tol=tol, samples=cfg.samples)
-    cols, rows = _wei_norman_rows(cfg, sol)
-    path = out / f"simulate.{fmt}"
-    _write_table(path, cols, rows, _metadata(cfg, "simulate", tol, trunc), fmt)
-    return [path]
+    write("simulate", *_wei_norman_rows(cfg, sol), {})
 
 
-def run_oracle(cfg: ScenarioConfig, out: Path, tol: float,
-               trunc: int | None, fmt: str) -> list[Path]:
+def run_oracle(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     params = _model_params(cfg)
     sol = integrate_wei_norman(params, cfg.t_end, tol=tol, samples=cfg.samples)
     n_trunc = trunc if trunc is not None else _auto_truncation(cfg, sol)
@@ -161,45 +164,34 @@ def run_oracle(cfg: ScenarioConfig, out: Path, tol: float,
         exact = run.states[part]
         fid[part] = np.abs(np.vecdot(exact, model)) ** 2 / (
             np.vecdot(exact, exact).real * np.vecdot(model, model).real)
-    cols = cols + ["norm_drift", "fidelity"]
-    rows = np.column_stack([rows, run.norm_drift, fid])
-    meta = _metadata(cfg, "oracle", tol, n_trunc)
-    meta["oracle_steps"] = (f"accepted={run.accepted_steps} "
-                            f"rejected={run.rejected_steps} "
-                            f"budget={run.budget:g}")
-    path = out / f"oracle.{fmt}"
-    _write_table(path, cols, rows, meta, fmt)
-    return [path]
+    write("oracle", cols + ["norm_drift", "fidelity"],
+          np.column_stack([rows, run.norm_drift, fid]),
+          {"truncation": n_trunc,
+           "oracle_steps": f"accepted={run.accepted_steps} "
+                           f"rejected={run.rejected_steps} "
+                           f"budget={run.budget:g}"})
 
 
-def run_variances(cfg: ScenarioConfig, out: Path, tol: float,
-                  trunc: int | None, fmt: str) -> list[Path]:
+def run_variances(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     xis = np.linspace(cfg.variances_xi_min, cfg.variances_xi_max,
                       cfg.variances_samples)
     rows = np.column_stack([xis, *quadrature_variance_ratios(
         KerrStateParams(cfg.variances_beta, xis))])
-    path = out / f"variances.{fmt}"
-    _write_table(path, ["xi", "ratio_q", "ratio_p"], rows,
-                 _metadata(cfg, "variances", tol, trunc), fmt)
-    return [path]
+    write("variances", ["xi", "ratio_q", "ratio_p"], rows, {})
 
 
-def run_autocorr(cfg: ScenarioConfig, out: Path, tol: float,
-                 trunc: int | None, fmt: str) -> list[Path]:
+def run_autocorr(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     params = _model_params(cfg)
     sol = integrate_wei_norman(params, cfg.t_end, tol=tol, samples=cfg.samples)
     series = autocorrelation_series(params, sol).with_revivals(
         cfg.revival_threshold)
-    meta = _metadata(cfg, "autocorr", tol, trunc)
-    meta["revival_times"] = "[" + ", ".join(
-        f"{t:.12g}" for t in series.revival_times) + "]"
     rows = np.column_stack([
         series.times, cfg.omega0 * series.times,
         series.values.real, series.values.imag, series.abs_squared,
     ])
-    path = out / f"autocorr.{fmt}"
-    _write_table(path, ["t", "tau", "re_F", "im_F", "abs2_F"], rows, meta, fmt)
-    return [path]
+    write("autocorr", ["t", "tau", "re_F", "im_F", "abs2_F"], rows,
+          {"revival_times": "[" + ", ".join(
+              f"{t:.12g}" for t in series.revival_times) + "]"})
 
 
 def _interpolated_solution(sol, t: float) -> WeiNormanSolution:
@@ -217,8 +209,7 @@ def _interpolated_solution(sol, t: float) -> WeiNormanSolution:
         for x in (sol.x1, sol.x2, sol.x3)))
 
 
-def run_husimi(cfg: ScenarioConfig, out: Path, tol: float,
-               trunc: int | None, fmt: str) -> list[Path]:
+def run_husimi(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     params = _model_params(cfg)
     t_max = max(tau / cfg.omega0 for tau in cfg.husimi_times)
     try:
@@ -228,8 +219,6 @@ def run_husimi(cfg: ScenarioConfig, out: Path, tol: float,
     sol = integrate_wei_norman(params, max(t_max, 1e-12), tol=tol,
                                samples=cfg.samples)
     n_trunc = trunc if trunc is not None else _auto_truncation(cfg, sol)
-    meta = _metadata(cfg, "husimi", tol, n_trunc)  # one config text per run
-    written = []
     for idx, tau in enumerate(cfg.husimi_times):
         t = tau / cfg.omega0
         grid = husimi_snapshot(params, _interpolated_solution(sol, t), t,
@@ -237,20 +226,13 @@ def run_husimi(cfg: ScenarioConfig, out: Path, tol: float,
                                resolution=cfg.grid_resolution, n_trunc=n_trunc)
         xx, yy = np.meshgrid(grid.x, grid.y)
         rows = np.column_stack([xx.ravel(), yy.ravel(), grid.values.ravel()])
-        path = out / f"husimi_{idx:02d}.{fmt}"
-        _write_table(path, ["x", "y", "Q"], rows,
-                     {**meta, "snapshot_tau": tau, "snapshot_t": t}, fmt)
-        sidecar = out / f"husimi_{idx:02d}.meta.json"
-        sidecar.write_text(json.dumps({
-            "snapshot_tau": tau, "snapshot_t": t, "total_mass": grid.total_mass(),
-            "tolerance": tol, "truncation": n_trunc,
-            "config": meta["config"]}, indent=1) + "\n", encoding="utf-8")
-        written += [path, sidecar]
-    return written
+        snapshot = {"truncation": n_trunc, "snapshot_tau": tau, "snapshot_t": t}
+        write(f"husimi_{idx:02d}", ["x", "y", "Q"], rows, snapshot)
+        write(f"husimi_{idx:02d}.meta", None, None,
+              {**snapshot, "total_mass": grid.total_mass()})
 
 
-def run_spectrum(cfg: ScenarioConfig, out: Path, tol: float,
-                 trunc: int | None, fmt: str) -> list[Path]:
+def run_spectrum(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     drive, freq = cfg.drive(), cfg.frequency()
     n, t = np.meshgrid(np.arange(cfg.spectrum_n_max + 1), cfg.spectrum_times)
     try:
@@ -258,15 +240,11 @@ def run_spectrum(cfg: ScenarioConfig, out: Path, tol: float,
                    displacement_amplitude(drive, freq, t)]
     except ValueError as exc:  # past a tabulated drive's window
         raise ConfigError(f"spectrum.times: {exc}") from exc
-    path = out / f"spectrum.{fmt}"
-    _write_table(path, ["n", "t", "E_n", "lambda_t"],
-                 np.column_stack([c.ravel() for c in columns]),
-                 _metadata(cfg, "spectrum", tol, trunc), fmt)
-    return [path]
+    write("spectrum", ["n", "t", "E_n", "lambda_t"],
+          np.column_stack([c.ravel() for c in columns]), {})
 
 
-def run_timemap(cfg: ScenarioConfig, out: Path, tol: float,
-                trunc: int | None, fmt: str) -> list[Path]:
+def run_timemap(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     mass, freq = cfg.mass(), cfg.frequency()
     times = np.linspace(0.0, cfg.t_end, cfg.samples)
     cols = ["t", "tau", "mass", "omega_star"]
@@ -280,13 +258,10 @@ def run_timemap(cfg: ScenarioConfig, out: Path, tol: float,
         cols += ["c_qq", "c_qp", "c_pq", "c_pp", "det"]
         columns += [qp.c_qq, qp.c_qp, qp.c_pq, qp.c_pp,
                     qp.symplectic_determinant()]
-    path = out / f"timemap.{fmt}"
-    _write_table(path, cols, np.column_stack(columns),
-                 _metadata(cfg, "timemap", tol, trunc), fmt)
-    return [path]
+    write("timemap", cols, np.column_stack(columns), {})
 
 
-_RUNNERS = {
+SUBCOMMANDS = {
     "simulate": run_simulate,
     "oracle": run_oracle,
     "variances": run_variances,
@@ -317,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    written: list[Path] = []
     try:
         cfg = load_config(args.config)
         # the overrides pass the checks of the keys they replace
@@ -324,12 +300,15 @@ def main(argv: list[str] | None = None) -> int:
                else checked_value("tolerance", args.tol, "--tol"))
         trunc = (cfg.truncation if args.trunc is None
                  else checked_value("truncation", args.trunc, "--trunc"))
-    except ConfigError as exc:
-        print(f"error[config]: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        written = _RUNNERS[args.subcommand](cfg, Path(args.out), tol, trunc,
-                                            args.format)
+        run_meta = {  # once per run, so every table shares one config text
+            "generator": f"kerrosc {__version__}",
+            "subcommand": args.subcommand,
+            "tolerance": tol,
+            "truncation": trunc if trunc is not None else "auto",
+            "config": emit_config(cfg),
+        }
+        SUBCOMMANDS[args.subcommand](cfg, tol, trunc, _writer(
+            Path(args.out), args.format, run_meta, written))
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG

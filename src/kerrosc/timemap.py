@@ -50,6 +50,10 @@ class MassSpec:
     values: np.ndarray | None = None
     _interp: object = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "exponential", "tabulated"):
+            raise ValueError(f"unknown mass kind {self.kind!r}")
+
     @classmethod
     def constant(cls, m0: float = 1.0) -> "MassSpec":
         if _finite("mass m0", m0) <= 0.0:
@@ -78,12 +82,10 @@ class MassSpec:
         t = np.asarray(t, dtype=float)
         if self.kind in ("constant", "exponential"):  # rate 0 when constant
             out = self.m0 * np.exp(self.rate * t)
-        elif self.kind == "tabulated":
+        else:
             out = _interpolated(self, t, "mass")
             if np.any(out <= 0.0):
                 raise ValueError("interpolated mass is non-positive")
-        else:
-            raise ValueError(f"unknown mass kind {self.kind!r}")
         return out[()]
 
 
@@ -100,11 +102,8 @@ def rescaled_time(mass: MassSpec, t):
     if mass.kind == "tabulated":
         edges, knot_tau = _knot_tau(mass)
         k = np.searchsorted(edges, t, side="right") - 1
-        tau = knot_tau[k] + _panel_quadrature(
-            lambda s, _: 1.0 / mass(s), edges[k].ravel(), t.ravel(),
-            0.0).reshape(t.shape)
-    elif mass.kind not in ("constant", "exponential"):
-        raise ValueError(f"unknown mass kind {mass.kind!r}")
+        tau = _tau_from(mass, edges[k].ravel(), knot_tau[k].ravel(),
+                        t.ravel()).reshape(t.shape)
     elif mass.rate == 0.0:  # every constant mass
         tau = t / mass.m0
     else:
@@ -112,44 +111,45 @@ def rescaled_time(mass: MassSpec, t):
     return tau[()]
 
 
+def _tau_from(mass: MassSpec, lo, tau_lo, t) -> np.ndarray:
+    """tau_lo, tau at the knot lo below each t, plus the integral of 1/m."""
+    return tau_lo + _panel_quadrature(lambda s, _: 1.0 / mass(s), lo, t, 0.0)
+
+
 def _knot_tau(mass: MassSpec) -> tuple[np.ndarray, np.ndarray]:
     """Edges of the knot segments from 0 to the window's end, tau at each."""
     edges = np.unique(np.clip(np.concatenate(([0.0], mass.times)), 0.0, None))
-    steps = _panel_quadrature(lambda s, _: 1.0 / mass(s), edges[:-1],
-                              edges[1:], 0.0)
+    steps = _tau_from(mass, edges[:-1], 0.0, edges[1:])
     return edges, np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def physical_time(mass: MassSpec, tau: float) -> float:
-    """Inverse of `rescaled_time`; tabulated masses take Newton steps,
-    dtau/dt = 1/m, in the knot segment whose tau brackets the target."""
-    if tau < 0.0:
+def physical_time(mass: MassSpec, tau):
+    """Inverse of `rescaled_time`, tau or array; a tabulated mass takes Newton
+    steps, dtau/dt = 1/m, each target until its own step stops shrinking."""
+    tau = np.asarray(tau, dtype=float)
+    if (tau < 0.0).any():  # the method: np.any adds a dispatch per call
         raise ValueError("tau must be non-negative")
-    if tau == 0.0:
-        return 0.0
-    if mass.kind == "constant":
-        return tau * mass.m0
-    if mass.kind == "exponential":
-        if mass.rate == 0.0:
-            return tau * mass.m0
-        arg = 1.0 - mass.rate * mass.m0 * tau
-        if arg <= 0.0:
-            raise ValueError(f"tau={tau} beyond the reachable horizon "
-                             f"{1.0 / (mass.rate * mass.m0):.6g}")
-        return -math.log(arg) / mass.rate
-    edges, knot_tau = _knot_tau(mass)
-    if knot_tau[-1] < tau:
-        raise ValueError("tau beyond the tabulated window")
-    k = int(np.searchsorted(knot_tau[1:-1], tau, side="right"))
-    lo, hi = edges[k], edges[k + 1]
-    t = lo + (hi - lo) * (tau - knot_tau[k]) / (knot_tau[k + 1] - knot_tau[k])
-    step = math.inf
-    while True:
-        new = mass(t) * (knot_tau[k] + _panel_quadrature(
-            lambda s, _: 1.0 / mass(s), [lo], [t], 0.0)[0] - tau)
-        if not abs(new) < abs(step):
-            return t
-        t, step = min(max(t - new, lo), hi), new
+    if mass.kind == "tabulated":
+        edges, knot_tau = _knot_tau(mass)
+        if (knot_tau[-1] < tau).any():
+            raise ValueError("tau beyond the tabulated window")
+        k = np.searchsorted(knot_tau[1:-1], tau.ravel(), side="right")
+        lo, hi, tau_lo, want = edges[k], edges[k + 1], knot_tau[k], tau.ravel()
+        t = lo + (hi - lo) * (want - tau_lo) / (knot_tau[k + 1] - tau_lo)
+        step, live = np.inf, np.arange(t.size)  # last step of each live target
+        while live.size:
+            new = mass(t[live]) * (_tau_from(mass, lo[live], tau_lo[live],
+                                             t[live]) - want[live])
+            shrinking = np.abs(new) < np.abs(step)
+            live, step = live[shrinking], new[shrinking]
+            t[live] = np.clip(t[live] - step, lo[live], hi[live])
+        return t.reshape(tau.shape)[()]
+    arg = 1.0 - mass.rate * mass.m0 * tau  # one closed form: rate 0 is tau*m0
+    if (arg <= 0.0).any():
+        raise ValueError(f"tau={tau.max()} beyond the reachable horizon "
+                         f"{1.0 / (mass.rate * mass.m0):.6g}")
+    t = tau * mass.m0 if mass.rate == 0.0 else -np.log(arg) / mass.rate
+    return t[()]
 
 
 def transformed_frequency(mass: MassSpec, frequency: FrequencySpec, t):

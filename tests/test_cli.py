@@ -209,6 +209,54 @@ class TestSubcommands:
         assert "config" in doc["meta"]
 
 
+RUN_KEYS = ["generator", "subcommand", "tolerance", "truncation", "config"]
+
+
+def read_meta(path):
+    """A written table's metadata in the order written; CSV values as text."""
+    if path.suffix == ".json":
+        return json.loads(path.read_text())["meta"]
+    return dict(line[2:].partition(":")[::2]
+                for line in path.read_text().splitlines()
+                if line.startswith("# ") and not line.startswith("#   "))
+
+
+class TestOutputPath:
+    OWN_KEYS = {"simulate": [], "oracle": ["oracle_steps"], "variances": [],
+                "autocorr": ["revival_times"],
+                "husimi": ["snapshot_tau", "snapshot_t"], "spectrum": [],
+                "timemap": []}
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", list(OWN_KEYS))
+    def test_run_keys_then_own_keys_and_paths_in_order(
+            self, cfg_file, tmp_path, capsys, command, fmt):
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_file), "--out", str(out),
+                     "--format", fmt]) == 0
+        if command == "husimi":  # each table before its sidecar
+            names = [name for idx in range(2) for name in (
+                f"husimi_{idx:02d}.{fmt}", f"husimi_{idx:02d}.meta.json")]
+        else:
+            names = [f"{command}.{fmt}"]
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [str(out / name) for name in names]
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        for name in names:
+            path = out / name
+            if name.endswith(".meta.json"):
+                sidecar = json.loads(path.read_text())
+                assert list(sidecar) == ["snapshot_tau", "snapshot_t",
+                                         "total_mass", *RUN_KEYS[2:]]
+                # the resolved truncation, as in the table's header
+                table = read_meta(out / name.replace(".meta.json", f".{fmt}"))
+                assert str(table["truncation"]).strip() == \
+                    str(sidecar["truncation"])
+            else:
+                assert list(read_meta(path)) == \
+                    RUN_KEYS + self.OWN_KEYS[command]
+
+
 class TestWriteTable:
     # Columns a, c and d hold at most half as many distinct values as rows,
     # so each of their distinct values is formatted once: a holds 0.0 beside

@@ -109,6 +109,10 @@ class TestRescaledTime:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
             make()
 
+    def test_unknown_kind_refused_when_built(self):
+        with pytest.raises(ValueError, match="unknown mass kind 'linear'"):
+            MassSpec(kind="linear")
+
     def test_non_positive_mass_rejected(self):
         with pytest.raises(ValueError):
             MassSpec.constant(0.0)
@@ -121,14 +125,21 @@ class TestRescaledTime:
                                      2.0 + np.cos(np.linspace(0, 5, 21)))):
             t = 2.7
             assert abs(physical_time(m, rescaled_time(m, t)) - t) < 1e-9
+            ts = np.array([[0.0, 0.4], [2.7, 4.9]])  # one whole-array call
+            back = physical_time(m, rescaled_time(m, ts))
+            assert back.shape == ts.shape
+            assert np.abs(back - ts).max() < 1e-9
 
     def test_tabulated_round_trip_at_and_between_knots(self):
         ts = np.linspace(0.0, 5.0, 21)
         m = MassSpec.tabulated(ts, 2.0 + np.cos(3.0 * ts))
         between = 0.5 * (ts[:-1] + ts[1:]) + 0.1 * np.diff(ts)
-        for t in np.concatenate((ts[1:], between)):
+        targets = np.concatenate((ts[1:], between))
+        for t in targets:
             t = float(t)
             assert abs(physical_time(m, rescaled_time(m, t)) - t) < 1e-12
+        back = physical_time(m, rescaled_time(m, targets))  # all at once
+        assert np.abs(back - targets).max() < 1e-12
 
     def test_tau_beyond_tabulated_window_rejected(self):
         m = MassSpec.tabulated([0.0, 1.0, 2.0], [1.0, 2.0, 1.5])
