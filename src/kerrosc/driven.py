@@ -18,6 +18,7 @@ from .fock import (
     FockOperator,
     FockState,
     TruncationError,
+    _freeze,
     annihilation_operator,
     displacement_operator,
     number_state,
@@ -48,7 +49,17 @@ class DriveSpec:
     frequency: float = 0.0
     times: np.ndarray | None = None
     values: np.ndarray | None = None
-    _interp: object = field(default=None, repr=False, compare=False)
+    _interp: object = field(default=None, init=False, repr=False,
+                            compare=False)
+
+    def __post_init__(self):
+        if self.kind not in ("zero", "constant", "cosine", "tabulated"):
+            raise ValueError(f"unknown drive kind {self.kind!r}")
+        for name in ("value", "amplitude", "frequency"):
+            object.__setattr__(self, name,
+                               _finite(f"drive {name}", getattr(self, name)))
+        if self.kind == "tabulated":
+            _tabulate(self, "drive", "CubicSpline")
 
     @classmethod
     def zero(cls) -> "DriveSpec":
@@ -56,20 +67,15 @@ class DriveSpec:
 
     @classmethod
     def constant(cls, value: float) -> "DriveSpec":
-        return cls(kind="constant", value=_finite("drive value", value))
+        return cls(kind="constant", value=value)
 
     @classmethod
     def cosine(cls, amplitude: float, frequency: float) -> "DriveSpec":
-        return cls(kind="cosine",
-                   amplitude=_finite("drive amplitude", amplitude),
-                   frequency=_finite("drive frequency", frequency))
+        return cls(kind="cosine", amplitude=amplitude, frequency=frequency)
 
     @classmethod
     def tabulated(cls, times, values) -> "DriveSpec":
-        times, values = _tabulated_samples(times, values, "drive")
-        from scipy.interpolate import CubicSpline  # lazy: slow import
-        return cls(kind="tabulated", times=times, values=values,
-                   _interp=CubicSpline(times, values))
+        return cls(kind="tabulated", times=times, values=values)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -77,10 +83,8 @@ class DriveSpec:
             out = np.full(t.shape, self.value)
         elif self.kind == "cosine":
             out = self.amplitude * np.cos(self.frequency * t)
-        elif self.kind == "tabulated":
-            out = _interpolated(self, t, "drive")
         else:
-            raise ValueError(f"unknown drive kind {self.kind!r}")
+            out = _interpolated(self, t, "drive")
         return out[()]
 
 
@@ -92,15 +96,22 @@ def _finite(name: str, value) -> float:
     return value
 
 
-def _tabulated_samples(times, values, name: str):
-    """A tabulated spec's samples: matching, 1-D, strictly increasing."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+def _tabulate(spec, name: str, interpolant: str,
+              positive: bool = False) -> None:
+    """Freeze a tabulated spec's samples as read-only copies, refused unless
+    matching, 1-D and strictly increasing in time (and, if `positive`, above
+    zero), and build its `scipy.interpolate` interpolant through them."""
+    _freeze(spec, ("times", "values"), float, copy=True)
+    times, values = spec.times, spec.values
     if times.ndim != 1 or times.size < 2 or times.size != values.size:
         raise ValueError(f"tabulated {name} needs matching 1-D samples")
     if np.any(np.diff(times) <= 0):
         raise ValueError(f"tabulated {name} times must increase strictly")
-    return times, values
+    if positive and np.any(values <= 0.0):
+        raise ValueError(f"{name} samples must be positive")
+    from scipy import interpolate  # lazy: slow import
+    object.__setattr__(spec, "_interp",
+                       getattr(interpolate, interpolant)(times, values))
 
 
 def _interpolated(spec, t: np.ndarray, name: str) -> np.ndarray:

@@ -23,6 +23,7 @@ from .driven import DriveSpec, _finite
 from .fock import (
     FockState,
     TruncationError,
+    _freeze,
     coherent_amplitudes,
     default_truncation,
     poisson_tail,
@@ -177,11 +178,7 @@ class WeiNormanSolution:
     x3: np.ndarray
 
     def __post_init__(self):
-        for name in ("times", "x1", "x2", "x3"):
-            # a view: freezing it leaves the caller's array writeable
-            arr = np.asarray(getattr(self, name)).view()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, ("times", "x1", "x2", "x3"))
 
     @property
     def eta(self) -> np.ndarray:

@@ -42,6 +42,17 @@ class TruncationError(ValueError):
     """Requested basis size cannot hold the state to the required tail mass."""
 
 
+def _freeze(record, names, dtype=None, copy: bool = False) -> None:
+    """Set each named field of a frozen record to a read-only array of dtype:
+    a copy, or else a view, which leaves the caller's array writeable."""
+    for name in names:
+        value = getattr(record, name)
+        arr = (np.array(value, dtype=dtype) if copy
+               else np.asarray(value, dtype=dtype).view())
+        arr.flags.writeable = False
+        object.__setattr__(record, name, arr)
+
+
 @dataclass(frozen=True)
 class FockState:
     """Pure state as a complex amplitude vector over |0>, ..., |n_trunc - 1>.
@@ -61,11 +72,9 @@ class FockState:
     renormalized: bool = False
 
     def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=np.complex128)
-        if amps.ndim != 1 or amps.size < 1:
+        _freeze(self, ("amplitudes",), np.complex128, copy=True)
+        if self.amplitudes.ndim != 1 or self.amplitudes.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-D vector")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
 
     @property
     def n_trunc(self) -> int:
@@ -78,10 +87,6 @@ class FockState:
         """|c_n|^2 for n = 0 .. n_trunc - 1."""
         return np.abs(self.amplitudes) ** 2
 
-    def mean_occupation(self) -> float:
-        p = self.occupations()
-        return float(np.dot(np.arange(self.n_trunc), p))
-
 
 @dataclass(frozen=True)
 class FockOperator:
@@ -90,11 +95,10 @@ class FockOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=np.complex128)
+        _freeze(self, ("matrix",), np.complex128, copy=True)
+        mat = self.matrix
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("operator matrix must be square")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
 
     @property
     def n_trunc(self) -> int:

@@ -136,6 +136,4 @@ def mandel_q(params: KerrStateParams,
     ValueError
         For beta = 0, where Q is undefined.
     """
-    if params.beta == 0.0:
-        raise ValueError("vacuum state: Mandel Q undefined")
     return mandel_q_state(kerr_state(params, n_trunc))

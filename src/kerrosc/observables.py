@@ -22,7 +22,7 @@ from .evolution import (
     _evolved_amplitudes,
     evolved_state,
 )
-from .fock import FockState, coherent_amplitudes
+from .fock import FockState, _freeze, coherent_amplitudes
 
 __all__ = [
     "AutocorrSeries",
@@ -56,15 +56,10 @@ class AutocorrSeries:
     revival_times: np.ndarray | None = None
 
     def __post_init__(self):
-        # views: freezing them leaves the caller's arrays writeable
-        times = np.asarray(self.times, dtype=float).view()
-        values = np.asarray(self.values, dtype=np.complex128).view()
-        if times.size != values.size or times.size == 0:
+        _freeze(self, ("times",), float)
+        _freeze(self, ("values",), np.complex128)
+        if self.times.size != self.values.size or self.times.size == 0:
             raise ValueError("times and values must match and be non-empty")
-        times.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
 
     @property
     def abs_squared(self) -> np.ndarray:
@@ -161,11 +156,7 @@ class PhaseSpaceGrid:
     time: float | None = None
 
     def __post_init__(self):
-        for name in ("x", "y", "values"):
-            # a view: freezing it leaves the caller's array writeable
-            arr = np.asarray(getattr(self, name), dtype=float).view()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, ("x", "y", "values"), float)
         if self.values.shape != (self.y.size, self.x.size):
             raise ValueError("values must have shape (len(y), len(x))")
 

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .evolution import ModelParams
-from .fock import FockState
+from .fock import FockState, _freeze
 from .integrators import StepSizeError
 
 __all__ = [
@@ -98,11 +98,7 @@ class OracleRun:
     budget: float
 
     def __post_init__(self):
-        for name in ("times", "states", "norm_drift"):
-            # a view: freezing it leaves the caller's array writeable
-            arr = np.asarray(getattr(self, name)).view()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze(self, ("times", "states", "norm_drift"))
 
     def state_at(self, index: int) -> FockState:
         """Sampled state as a unit-norm FockState; raw norms live in

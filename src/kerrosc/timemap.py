@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .driven import (DriveSpec, FrequencySpec, _finite, _interpolated,
-                     _tabulated_samples, energy_level as _driven_level)
+                     _tabulate, energy_level as _driven_level)
 from .fock import FockState
 from .integrators import _panel_quadrature
 
@@ -48,35 +48,32 @@ class MassSpec:
     rate: float = 0.0
     times: np.ndarray | None = None
     values: np.ndarray | None = None
-    _interp: object = field(default=None, repr=False, compare=False)
+    _interp: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         if self.kind not in ("constant", "exponential", "tabulated"):
             raise ValueError(f"unknown mass kind {self.kind!r}")
+        object.__setattr__(self, "m0", _finite("mass m0", self.m0))
+        if self.m0 <= 0.0:
+            raise ValueError("mass must be positive")
+        object.__setattr__(self, "rate", _finite("mass rate", self.rate))
+        if self.kind == "tabulated":
+            _tabulate(self, "mass", "PchipInterpolator", positive=True)
 
     @classmethod
     def constant(cls, m0: float = 1.0) -> "MassSpec":
-        if _finite("mass m0", m0) <= 0.0:
-            raise ValueError("mass must be positive")
-        return cls(kind="constant", m0=float(m0))
+        return cls(kind="constant", m0=m0)
 
     @classmethod
     def exponential(cls, m0: float, rate: float) -> "MassSpec":
         """m(t) = m0 exp(rate * t)."""
-        if _finite("mass m0", m0) <= 0.0:
-            raise ValueError("mass must be positive")
-        return cls(kind="exponential", m0=float(m0),
-                   rate=_finite("mass rate", rate))
+        return cls(kind="exponential", m0=m0, rate=rate)
 
     @classmethod
     def tabulated(cls, times, values) -> "MassSpec":
         """Monotone-cubic interpolation through positive mass samples."""
-        times, values = _tabulated_samples(times, values, "mass")
-        if np.any(values <= 0.0):
-            raise ValueError("mass samples must be positive")
-        from scipy.interpolate import PchipInterpolator  # lazy: slow import
-        return cls(kind="tabulated", times=times, values=values,
-                   _interp=PchipInterpolator(times, values))
+        return cls(kind="tabulated", times=times, values=values)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

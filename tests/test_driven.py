@@ -33,6 +33,15 @@ class TestSpecs:
         (lambda: DriveSpec.cosine(1.0, math.inf), "drive frequency"),
         (lambda: DriveSpec.constant(math.nan), "drive value"),
         (lambda: FrequencySpec(math.nan), "omega0"),
+        # built directly, a spec runs the same checks
+        pytest.param(lambda: DriveSpec(kind="cosine", amplitude=math.nan,
+                                       frequency=1.0),
+                     "drive amplitude", id="direct-drive-amplitude"),
+        pytest.param(lambda: DriveSpec(kind="cosine", amplitude=1.0,
+                                       frequency=-math.inf),
+                     "drive frequency", id="direct-drive-frequency"),
+        pytest.param(lambda: DriveSpec(kind="constant", value=math.nan),
+                     "drive value", id="direct-drive-value"),
     ])
     def test_non_finite_parameter_refused(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got "):

@@ -27,6 +27,7 @@ from kerrosc.fock import (
 from kerrosc.integrators import StepSizeError
 
 from test_observables import assert_frozen_view
+import wei_norman_reference
 
 
 def cosine_params(omega0=1.0, chi=0.0, alpha=0.0):
@@ -129,7 +130,7 @@ class TestLinearizedLadder:
 
     def test_nan_drive_raises_at_the_panel_cap(self):
         p = ModelParams(omega0=1.0, chi=0.25,
-                        drive=DriveSpec(kind="constant", value=math.nan))
+                        drive=lambda t: np.full(np.shape(t), math.nan))
         with pytest.raises(StepSizeError) as exc:
             linearized_ladder(p, 3, 1.0)
         assert exc.value.t == 0.0
@@ -244,7 +245,7 @@ class TestWeiNorman:
     def test_refinement_cap_raises(self):
         # a drive that never settles ends at the panel cap, not in a loop
         p = ModelParams(omega0=1.0,
-                        drive=DriveSpec(kind="constant", value=math.nan))
+                        drive=lambda t: np.full(np.shape(t), math.nan))
         with pytest.raises(StepSizeError) as exc:
             integrate_wei_norman(p, 1.0, samples=3)
         assert exc.value.t == 0.0
@@ -257,6 +258,60 @@ class TestWeiNorman:
         for field, own in ((sol.times, times), (sol.x1, x1), (sol.x2, x2),
                            (sol.x3, x3)):
             assert_frozen_view(field, own)
+
+
+# Models for the grid-free reference of `wei_norman_reference`: zero,
+# constant and cosine drives in the fig. 2 model over 8 pi, and the Kerr-free
+# cosine at omega = Omega0, whose one exponential is resonant (G grows as t).
+CLOSED_FORM = {
+    "zero": (ModelParams(omega0=1.0, chi=0.25, alpha=3.0,
+                         drive=DriveSpec.zero()), 8 * math.pi),
+    "constant": (ModelParams(omega0=1.0, chi=0.25, alpha=3.0,
+                             drive=DriveSpec.constant(0.7)), 8 * math.pi),
+    "cosine": (cosine_params(omega0=1.0, chi=0.25, alpha=3.0), 8 * math.pi),
+    "resonant": (cosine_params(omega0=1.0, chi=0.0, alpha=3.0), 26.0),
+}
+# fractions of the window, off every tested grid
+_OFF_GRID = np.array([0.013, 0.271, 0.377, 0.512, 0.64, 0.815, 0.9968])
+
+
+class TestWeiNormanClosedForm:
+    """Stored and off-grid coefficients against the Poisson-series closed
+    form, at tol 1e-3, 1e-6 and 1e-10 on 11, 2001 and 8001 samples.
+
+    Measured worst errors over those runs, on and off the grid, for the
+    cosine and the resonant model (where max |G| = 9.4): G 7.6e-16 and
+    4.4e-14, Im X1 8.9e-16 and 1.3e-14, X1 9.2e-16 and 4.1e-13, all rounding.
+    Asserted, with s = max(1, max |G|): 3e-14 s for G (X2, X3, eta) and
+    3e-14 s^2 for X1, whose real part is -|G|^2 / 2.  The one exception is
+    tol 1e-3 on 11 samples, where the panel kernel stops at its budget of
+    tol^2 per unit time: there up to 1.9e-10 is measured (Im X1, constant
+    drive) and 1e-9 asserted, for G and X1 alike.
+    """
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-10])
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+    def test_coefficients_match_closed_form(self, name, tol):
+        p, t_end = CLOSED_FORM[name]
+        off = _OFF_GRID * t_end
+        # first at the 11 times every tested grid shares, then off the grid
+        x1, x2, x3 = wei_norman_reference.coefficients(
+            p, np.concatenate((np.linspace(0.0, t_end, 11), off)))
+        scale = max(1.0, np.abs(x3).max())
+        for samples in (11, 2001, 8001):
+            coarse = (tol, samples) == (1e-3, 11)
+            bound_g = 1e-9 if coarse else 3e-14 * scale
+            bound_x1 = 1e-9 if coarse else 3e-14 * scale ** 2
+            sol = integrate_wei_norman(p, t_end, tol=tol, samples=samples)
+            on = slice(None, None, (samples - 1) // 10)
+            for got, want, bound in (
+                    (sol.x3[on], x3[:11], bound_g),
+                    (sol.x2[on], x2[:11], bound_g),
+                    (sol.x1[on], x1[:11], bound_x1),
+                    (sol.x3_at(off), x3[11:], bound_g),
+                    (sol.eta_at(off), x2[11:] + p.alpha, bound_g),
+                    (sol.x1_at(off), x1[11:], bound_x1)):
+                assert np.abs(got - want).max() <= bound
 
 
 class TestEvolvedState:

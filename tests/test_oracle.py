@@ -65,10 +65,10 @@ class TestIntegrateExact:
         assert max(energies) - min(energies) < 1e-9
 
     def test_nan_drive_refused_naming_the_step(self):
-        # `DriveSpec.cosine` refuses a NaN amplitude, so build the spec
-        # directly: the state turns NaN in the first step
-        p = ModelParams(omega0=1.0, chi=0.25, alpha=1.0, drive=DriveSpec(
-            kind="cosine", amplitude=math.nan, frequency=1.0))
+        # every `DriveSpec` refuses a NaN parameter, so pass a plain
+        # callable: the state turns NaN in the first step
+        p = ModelParams(omega0=1.0, chi=0.25, alpha=1.0,
+                        drive=lambda t: np.full(np.shape(t), math.nan))
         with pytest.raises(OracleError, match=r"^non-finite state in the "
                                               r"step from t=0 to t=0\.001$"):
             integrate_exact(p, coherent_state(1.0, 30), 1.0)

@@ -104,6 +104,13 @@ class TestRescaledTime:
         (lambda: MassSpec.exponential(math.nan, 0.3), "mass m0"),
         (lambda: MassSpec.exponential(1.0, math.inf), "mass rate"),
         (lambda: MassSpec.constant(math.inf), "mass m0"),
+        # built directly, a spec runs the same checks
+        pytest.param(lambda: MassSpec(kind="exponential", m0=math.nan),
+                     "mass m0", id="direct-exponential-m0"),
+        pytest.param(lambda: MassSpec(kind="exponential", rate=math.nan),
+                     "mass rate", id="direct-exponential-rate"),
+        pytest.param(lambda: MassSpec(kind="constant", m0=-math.inf),
+                     "mass m0", id="direct-constant-m0"),
     ])
     def test_non_finite_mass_parameter_refused(self, make, name):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
@@ -112,12 +119,29 @@ class TestRescaledTime:
     def test_unknown_kind_refused_when_built(self):
         with pytest.raises(ValueError, match="unknown mass kind 'linear'"):
             MassSpec(kind="linear")
+        with pytest.raises(ValueError, match="^unknown drive kind 'sine'$"):
+            DriveSpec(kind="sine")
+
+    @pytest.mark.parametrize("cls", [DriveSpec, MassSpec])
+    def test_tabulated_samples_are_read_only_copies(self, cls):
+        times, values = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.5])
+        spec = cls.tabulated(times, values)
+        before = spec(np.linspace(0.0, 2.0, 9))
+        times[2], values[1] = 5.0, 7.0  # the caller's arrays stay writeable
+        np.testing.assert_array_equal(spec.times, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(spec.values, [1.0, 2.0, 1.5])
+        np.testing.assert_array_equal(spec(np.linspace(0.0, 2.0, 9)), before)
+        for samples in (spec.times, spec.values):
+            with pytest.raises(ValueError, match="read-only"):
+                samples[0] = 0.5
 
     def test_non_positive_mass_rejected(self):
         with pytest.raises(ValueError):
             MassSpec.constant(0.0)
         with pytest.raises(ValueError):
             MassSpec.tabulated([0.0, 1.0], [1.0, -2.0])
+        with pytest.raises(ValueError, match="^mass samples must be positive$"):
+            MassSpec(kind="tabulated", times=[0, 1], values=[1, -1])
 
     def test_inverse_round_trip(self):
         for m in (MassSpec.constant(2.0), MassSpec.exponential(1.5, 0.4),
