@@ -20,16 +20,9 @@ from .timemap import MassSpec
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "emit_config",
            "load_config"]
 
-# section -> ({kind: its keys, the arguments of the DriveSpec/MassSpec
-# constructor of that name}, {alias: kind}).  A section with aliases lists
-# every spelling when it refuses a kind.
-_KINDS = {
-    "drive": ({"zero": (), "constant": ("value",),
-               "cosine": ("amplitude", "frequency"),
-               "tabulated": ("times", "values")}, {"cos": "cosine"}),
-    "mass": ({"constant": ("m0",), "exponential": ("m0", "rate"),
-              "tabulated": ("times", "values")}, {}),
-}
+# section -> (its spec class, whose KINDS give each kind's keys, {alias:
+# kind}).  A section with aliases lists every spelling when it refuses a kind.
+_SPECS = {"drive": (DriveSpec, {"cos": "cosine"}), "mass": (MassSpec, {})}
 
 
 class ConfigError(ValueError):
@@ -91,10 +84,10 @@ def _integer(value, name: str) -> int:
 
 
 def _kind(value, name: str) -> str:
-    kinds, aliases = _KINDS[name.partition(".")[0]]
+    cls, aliases = _SPECS[name.partition(".")[0]]
     kind = aliases.get(value, value) if isinstance(value, str) else None
-    if kind not in kinds:
-        hint = f"; expected one of {sorted({*kinds, *aliases})}" if aliases else ""
+    if kind not in cls.KINDS:
+        hint = f"; expected one of {sorted({*cls.KINDS, *aliases})}" if aliases else ""
         raise ConfigError(f"{name}: unknown kind {value!r}{hint}")
     return kind
 
@@ -164,16 +157,16 @@ class ScenarioConfig:
     tolerance: float = _key("", _real, 1e-10, _POSITIVE)
     revival_threshold: float = _key("", _real, 0.5, _POSITIVE)
 
-    def _spec(self, section: str, cls):
-        kind = getattr(self, f"{section}_kind")
-        return getattr(cls, kind)(*(getattr(self, f"{section}_{key}")
-                                    for key in _KINDS[section][0][kind]))
+    def _spec(self, section: str):
+        cls, kind = _SPECS[section][0], getattr(self, f"{section}_kind")
+        return cls(kind=kind, **{key: getattr(self, f"{section}_{key}")
+                                 for key in cls.KINDS[kind]})
 
     def drive(self) -> DriveSpec:
-        return self._spec("drive", DriveSpec)
+        return self._spec("drive")
 
     def mass(self) -> MassSpec:
-        return self._spec("mass", MassSpec)
+        return self._spec("mass")
 
     def frequency(self) -> FrequencySpec:
         return FrequencySpec(self.omega0, self.k)
@@ -239,13 +232,13 @@ def parse_config(text: str) -> ScenarioConfig:
         node, active = root, keys  # the top-level keys, checked with root
         if section:
             node = root.get(section, {})
-            if section in _KINDS:
+            if section in _SPECS:
                 if isinstance(node, str):
                     node = {"kind": node}  # a bare string names the kind
                 # a node that is no mapping is refused just below
                 kind = _value(keys["kind"], node if isinstance(node, dict)
                               else {}, "kind", f"{section}.kind")
-                active = ("kind", *_KINDS[section][0][kind])
+                active = ("kind", *_SPECS[section][0].KINDS[kind])
             node = _mapping(node, section, set(active))
         for label, key in keys.items():
             name = f"{section}.{label}" if section else label
@@ -255,7 +248,7 @@ def parse_config(text: str) -> ScenarioConfig:
     # The rules that tie keys together.
     if values["variances_xi_max"] <= values["variances_xi_min"]:
         raise ConfigError("variances.xi_max: must exceed variances.xi_min")
-    for section in _KINDS:
+    for section in _SPECS:
         times, t_end = values[f"{section}_times"], values["t_end"]
         if values[f"{section}_kind"] == "tabulated" and (
                 times is None or values[f"{section}_values"] is None):
@@ -281,9 +274,9 @@ def emit_config(cfg: ScenarioConfig) -> str:
     for section, keys in _SECTIONS.items():
         out = doc.setdefault(section, {}) if section else doc
         labels = keys
-        if section in _KINDS:
+        if section in _SPECS:
             kind = getattr(cfg, keys["kind"]["field"])
-            labels = ("kind", *_KINDS[section][0][kind])
+            labels = ("kind", *_SPECS[section][0].KINDS[kind])
         for label in labels:
             value = getattr(cfg, keys[label]["field"])
             if value is None:  # an automatic grid.half_width or truncation

@@ -10,7 +10,7 @@ Hermite-function recurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,25 +41,26 @@ _MAX_HERMITE = 200
 @dataclass(frozen=True)
 class DriveSpec:
     """Classical drive e(t): zero, constant, cosine, or tabulated samples.
-    Called with a time or an array of times; a scalar time gives a float."""
+    Called with a time or an array of times; a scalar time gives a float.
+    `KINDS` maps each kind to the parameters it takes; specs compare and
+    hash by value, tabulated samples included."""
+
+    KINDS = {"zero": (), "constant": ("value",),
+             "cosine": ("amplitude", "frequency"),
+             "tabulated": ("times", "values")}
 
     kind: str
     value: float = 0.0
     amplitude: float = 0.0
     frequency: float = 0.0
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
+    times: np.ndarray | None = field(default=None, compare=False)
+    values: np.ndarray | None = field(default=None, compare=False)
+    _samples: tuple | None = field(default=None, init=False, repr=False)
     _interp: object = field(default=None, init=False, repr=False,
                             compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant", "cosine", "tabulated"):
-            raise ValueError(f"unknown drive kind {self.kind!r}")
-        for name in ("value", "amplitude", "frequency"):
-            object.__setattr__(self, name,
-                               _finite(f"drive {name}", getattr(self, name)))
-        if self.kind == "tabulated":
-            _tabulate(self, "drive", "CubicSpline")
+        _check_kind(self, "drive", "CubicSpline")
 
     @classmethod
     def zero(cls) -> "DriveSpec":
@@ -96,11 +97,29 @@ def _finite(name: str, value) -> float:
     return value
 
 
-def _tabulate(spec, name: str, interpolant: str,
-              positive: bool = False) -> None:
-    """Freeze a tabulated spec's samples as read-only copies, refused unless
+def _check_kind(spec, name: str, interpolant: str,
+                positive: bool = False) -> None:
+    """Refuse an unknown kind, or a parameter outside `spec.KINDS[kind]`
+    unless at its field default, and make the kind's own numbers finite
+    floats.  Tabulated samples become read-only copies, refused unless
     matching, 1-D and strictly increasing in time (and, if `positive`, above
-    zero), and build its `scipy.interpolate` interpolant through them."""
+    zero), and are also kept as tuples to compare and hash by; a
+    `scipy.interpolate` interpolant goes through them."""
+    if spec.kind not in spec.KINDS:
+        raise ValueError(f"unknown {name} kind {spec.kind!r}")
+    for f in fields(spec)[1:]:  # every field after kind
+        value = getattr(spec, f.name)
+        if f.name in spec.KINDS[spec.kind]:
+            if f.default is not None:  # not tabulated samples
+                object.__setattr__(spec, f.name,
+                                   _finite(f"{name} {f.name}", value))
+        elif f.init:
+            if value is not None if f.default is None else value != f.default:
+                raise ValueError(f"{name} kind {spec.kind!r} takes no "
+                                 f"{f.name}")
+            object.__setattr__(spec, f.name, f.default)  # 0 becomes 0.0
+    if spec.kind != "tabulated":
+        return
     _freeze(spec, ("times", "values"), float, copy=True)
     times, values = spec.times, spec.values
     if times.ndim != 1 or times.size < 2 or times.size != values.size:
@@ -109,6 +128,8 @@ def _tabulate(spec, name: str, interpolant: str,
         raise ValueError(f"tabulated {name} times must increase strictly")
     if positive and np.any(values <= 0.0):
         raise ValueError(f"{name} samples must be positive")
+    object.__setattr__(spec, "_samples",
+                       (tuple(times.tolist()), tuple(values.tolist())))
     from scipy import interpolate  # lazy: slow import
     object.__setattr__(spec, "_interp",
                        getattr(interpolate, interpolant)(times, values))

@@ -48,6 +48,9 @@ class KerrStateParams:
         object.__setattr__(self, "beta", complex(self.beta))
         xi = np.asarray(self.xi, dtype=float)
         object.__setattr__(self, "xi", xi if xi.ndim else float(xi))
+        for name in ("beta", "xi"):
+            if not np.isfinite(value := getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def kerr_state(params: KerrStateParams, n_trunc: int | None = None) -> FockState:

@@ -21,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .driven import (DriveSpec, FrequencySpec, _finite, _interpolated,
-                     _tabulate, energy_level as _driven_level)
+from .driven import (DriveSpec, FrequencySpec, _check_kind, _interpolated,
+                     energy_level as _driven_level)
 from .fock import FockState
 from .integrators import _panel_quadrature
 
@@ -41,25 +41,25 @@ __all__ = [
 @dataclass(frozen=True)
 class MassSpec:
     """Oscillator mass m(t) > 0: constant, exponential, or tabulated.
-    Called with a time or an array of times, like `DriveSpec`."""
+    Called with a time or an array of times, and checked, compared and
+    hashed like `DriveSpec`."""
+
+    KINDS = {"constant": ("m0",), "exponential": ("m0", "rate"),
+             "tabulated": ("times", "values")}
 
     kind: str
     m0: float = 1.0
     rate: float = 0.0
-    times: np.ndarray | None = None
-    values: np.ndarray | None = None
+    times: np.ndarray | None = field(default=None, compare=False)
+    values: np.ndarray | None = field(default=None, compare=False)
+    _samples: tuple | None = field(default=None, init=False, repr=False)
     _interp: object = field(default=None, init=False, repr=False,
                             compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("constant", "exponential", "tabulated"):
-            raise ValueError(f"unknown mass kind {self.kind!r}")
-        object.__setattr__(self, "m0", _finite("mass m0", self.m0))
+        _check_kind(self, "mass", "PchipInterpolator", positive=True)
         if self.m0 <= 0.0:
             raise ValueError("mass must be positive")
-        object.__setattr__(self, "rate", _finite("mass rate", self.rate))
-        if self.kind == "tabulated":
-            _tabulate(self, "mass", "PchipInterpolator", positive=True)
 
     @classmethod
     def constant(cls, m0: float = 1.0) -> "MassSpec":

@@ -4,6 +4,8 @@ import re
 import pytest
 
 from kerrosc.config import ConfigError, emit_config, parse_config
+from kerrosc.driven import DriveSpec
+from kerrosc.timemap import MassSpec
 
 MINIMAL = """
 model:
@@ -210,6 +212,30 @@ time: {t_end: 5.0}
         with pytest.raises(ConfigError,
                            match=rf"^{section}\.kind: unknown kind \[1\]"):
             parse_config(f"model: {{omega0: 1.0}}\n{section}: {{kind: [1]}}")
+
+    @pytest.mark.parametrize("section, kind, keys, spec", [
+        ("drive", "zero", "", DriveSpec.zero()),
+        ("drive", "constant", ", value: 0.5", DriveSpec.constant(0.5)),
+        ("drive", "cos", ", amplitude: 0.5, frequency: 2.0",
+         DriveSpec.cosine(0.5, 2.0)),
+        ("drive", "tabulated", ", times: [0, 9], values: [1, 2]",
+         DriveSpec.tabulated([0, 9], [1, 2])),
+        ("mass", "constant", ", m0: 2.0", MassSpec.constant(2.0)),
+        ("mass", "exponential", ", m0: 2.0, rate: 0.1",
+         MassSpec.exponential(2.0, 0.1)),
+        ("mass", "tabulated", ", times: [0, 9], values: [1, 2]",
+         MassSpec.tabulated([0, 9], [1, 2])),
+    ], ids=["drive-zero", "drive-constant", "drive-cos", "drive-tabulated",
+            "mass-constant", "mass-exponential", "mass-tabulated"])
+    def test_each_kind_takes_the_keys_its_spec_declares(self, section, kind,
+                                                         keys, spec):
+        text = (f"model: {{omega0: 1.0}}\ntime: {{t_end: 9.0}}\n"
+                f"{section}: {{kind: {kind}{keys}}}")
+        assert getattr(parse_config(text), section)() == spec
+        allowed = sorted({"kind", *spec.KINDS[spec.kind]})
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{section}: unknown key(s) ['bogus']; allowed: {allowed}")):
+            parse_config(text[:-1] + ", bogus: 1}")
 
 
 class TestRoundTrip:

@@ -182,6 +182,16 @@ class TestQuadratureVarianceRatios:
         np.testing.assert_allclose(np.column_stack([rq.ravel(), rp.ravel()]),
                                    want, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("beta, xi, name", [
+        (complex(math.nan), 0.1, "beta"),
+        (complex(0.5, math.inf), 0.1, "beta"),
+        (0.5, -math.inf, "xi"),
+        (0.5, np.array([0.1, math.nan]), "xi"),
+    ])
+    def test_non_finite_parameter_refused(self, beta, xi, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+            KerrStateParams(beta, xi)
+
     def test_state_constructors_refuse_an_array_xi(self):
         with pytest.raises(TypeError):
             kerr_state(KerrStateParams(0.5, np.array([0.1, 0.2])), 20)

@@ -48,6 +48,30 @@ for _name in ("c_qq", "c_qp", "c_pq", "c_pp"):
         heisenberg_coefficients(1.1, 1.0, 0.4, t), c))
 
 
+# Each kind's own parameters, valid; for every parameter, a valid value off
+# its kind, and its field default (spelt as an int or -0.0 where it can be).
+_OWN = {
+    ("DriveSpec", "zero"): {},
+    ("DriveSpec", "constant"): {"value": 1.5},
+    ("DriveSpec", "cosine"): {"amplitude": 1.0, "frequency": 2.0},
+    ("DriveSpec", "tabulated"): {"times": [0.0, 1.0], "values": [1.0, 2.0]},
+    ("MassSpec", "constant"): {"m0": 2.0},
+    ("MassSpec", "exponential"): {"m0": 2.0, "rate": 0.5},
+    ("MassSpec", "tabulated"): {"times": [0.0, 1.0], "values": [1.0, 2.0]},
+}
+_OFF_KIND = {"value": 2.0, "amplitude": 1.0, "frequency": 1.0, "m0": 2.0,
+             "rate": 0.5, "times": [0.0, 1.0], "values": [1.0, 2.0]}
+_DEFAULTS = {"value": 0, "amplitude": 0, "frequency": -0.0, "m0": 1,
+             "rate": 0.0, "times": None, "values": None}
+_PARAMS = {DriveSpec: ("value", "amplitude", "frequency", "times", "values"),
+           MassSpec: ("m0", "rate", "times", "values")}
+_OFF_KIND_CASES = [
+    pytest.param(cls, kind, param, id=f"{cls.__name__}-{kind}-{param}")
+    for cls, params in _PARAMS.items()
+    for (name, kind), own in _OWN.items() if name == cls.__name__
+    for param in params if param not in own]
+
+
 @pytest.mark.parametrize("name", sorted(ONE_PATH))
 def test_array_call_matches_scalar_calls(name):
     f = ONE_PATH[name]
@@ -121,6 +145,37 @@ class TestRescaledTime:
             MassSpec(kind="linear")
         with pytest.raises(ValueError, match="^unknown drive kind 'sine'$"):
             DriveSpec(kind="sine")
+
+    @pytest.mark.parametrize("cls, kind, param", _OFF_KIND_CASES)
+    def test_parameter_outside_its_kind_refused(self, cls, kind, param):
+        own = _OWN[cls.__name__, kind]
+        section = "drive" if cls is DriveSpec else "mass"
+        with pytest.raises(ValueError, match=(
+                f"^{section} kind '{kind}' takes no {param}$")):
+            cls(kind=kind, **own, **{param: _OFF_KIND[param]})
+        # the same parameter at its default is accepted and changes nothing
+        at_default = cls(kind=kind, **own, **{param: _DEFAULTS[param]})
+        assert at_default == cls(kind=kind, **own)
+        assert getattr(at_default, param) is None or \
+            type(getattr(at_default, param)) is float
+
+    def test_each_kind_declares_its_own_parameters(self):
+        # 10 settable values, where 5 drive parameters x 4 kinds and 4 mass
+        # parameters x 3 kinds made 32
+        declared = {(cls.__name__, kind): params for cls in _PARAMS
+                    for kind, params in cls.KINDS.items()}
+        assert declared == {key: tuple(own) for key, own in _OWN.items()}
+        assert sum(map(len, declared.values())) == 10
+        assert len(_OFF_KIND_CASES) == 32 - 10
+
+    @pytest.mark.parametrize("cls", [DriveSpec, MassSpec])
+    def test_tabulated_specs_compare_and_hash_by_value(self, cls):
+        spec = cls.tabulated([0, 1, 2], [1, 2, 1])
+        same = cls.tabulated(np.array([0.0, 1.0, 2.0]), (1.0, 2.0, 1.0))
+        assert spec == same and hash(spec) == hash(same)
+        assert len({spec, same, cls.tabulated([0, 1, 2], [1, 2, 1.5])}) == 2
+        assert spec != cls.tabulated([0, 1, 3], [1, 2, 1])
+        assert spec != cls(kind=next(iter(cls.KINDS)))
 
     @pytest.mark.parametrize("cls", [DriveSpec, MassSpec])
     def test_tabulated_samples_are_read_only_copies(self, cls):
