@@ -27,7 +27,8 @@ from .evolution import (
     _evolved_amplitudes,
     integrate_wei_norman,
 )
-from .fock import TruncationError, coherent_state, default_truncation
+from .fock import (SUPPORT_MARGIN, TruncationError, coherent_state,
+                   default_truncation)
 from .integrators import StepSizeError
 from .kerr_states import KerrStateParams, quadrature_variance_ratios
 from .observables import autocorrelation_series, husimi_snapshot
@@ -137,8 +138,8 @@ def _wei_norman_rows(cfg: ScenarioConfig, sol) -> tuple[list[str], np.ndarray]:
 
 
 def _auto_truncation(cfg: ScenarioConfig, sol) -> int:
-    peak = float(np.max(np.abs(sol.eta)))
-    return default_truncation(complex(max(peak, abs(cfg.alpha)))) + 10
+    peak = max(float(np.max(np.abs(sol.eta))), abs(cfg.alpha))
+    return default_truncation(peak) + SUPPORT_MARGIN
 
 
 def run_simulate(cfg: ScenarioConfig, tol: float, trunc: int | None, write):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .fock import (
+    BOUNDARY_POPULATION,
     FockOperator,
     FockState,
     TruncationError,
@@ -235,16 +236,16 @@ def displaced_number_state(n: int, lam: float, n_trunc: int) -> FockState:
     ------
     TruncationError
         If the displaced state presses against the truncation boundary
-        (top-level population above 1e-9); the truncated generator is
-        anti-Hermitian, so the error shows up as distortion there rather
-        than as norm loss.
+        (top-level population above `fock.BOUNDARY_POPULATION`); the
+        truncated generator is anti-Hermitian, so the error shows up as
+        distortion there rather than as norm loss.
     """
     if not 0 <= n < n_trunc:
         raise ValueError(f"level n={n} outside basis of size {n_trunc}")
     dis = displacement_operator(-lam, n_trunc)
     amps = dis.matrix @ number_state(n, n_trunc).amplitudes
     top = abs(amps[-1]) ** 2
-    if top > 1e-9:
+    if top > BOUNDARY_POPULATION:
         raise TruncationError(
             f"displaced state reaches the truncation boundary "
             f"(top-level population {top:.3e}); increase n_trunc={n_trunc}")

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .driven import DriveSpec, _finite
-from .fock import (
-    FockState,
-    TruncationError,
-    _freeze,
-    coherent_amplitudes,
-    default_truncation,
-    poisson_tail,
-)
+from .fock import FockState, _freeze, checked_truncation, coherent_amplitudes
 from .integrators import _panel_quadrature
 
 __all__ = [
@@ -294,7 +287,8 @@ def evolved_state(params: ModelParams, sol: WeiNormanSolution, t: float,
     Raises
     ------
     TruncationError
-        If the Poisson tail of |eta_t|^2 beyond n_trunc exceeds 1e-9.
+        If n_trunc (default `default_truncation(eta_t)`) is below 1, or the
+        Poisson tail of |eta_t|^2 beyond it reaches `fock.TAIL_MASS`.
     """
     x1, x3, eta, n_trunc = _checked_coefficients(params, sol, t, n_trunc)
     amps = _evolved_amplitudes(params, t, x1, x3, eta, n_trunc)
@@ -309,14 +303,7 @@ def _checked_coefficients(params: ModelParams, sol: WeiNormanSolution, t,
     x1, x2, x3 = sol._at(t)
     eta = x2 + params.alpha
     peak = np.ravel(eta)[np.argmax(np.abs(eta))]
-    if n_trunc is None:
-        n_trunc = default_truncation(peak)
-    tail = poisson_tail(abs(peak) ** 2, n_trunc)
-    if tail > 1e-9:
-        raise TruncationError(
-            f"n_trunc={n_trunc} leaves tail mass {tail:.3e} > 1e-9 "
-            f"for |eta|^2={abs(peak)**2:.6g}")
-    return x1, x3, eta, n_trunc
+    return x1, x3, eta, checked_truncation(peak, n_trunc)
 
 
 def _evolved_amplitudes(params: ModelParams, t, x1, x3, eta,

@@ -30,12 +30,23 @@ __all__ = [
     "coherent_amplitudes",
     "number_state",
     "default_truncation",
+    "checked_truncation",
     "log_factorial",
     "poisson_tail",
     "apply",
     "expectation",
     "inner",
 ]
+
+
+# The truncation policy: `default_truncation` sizes a basis for a coherent
+# amplitude, and `checked_truncation` refuses one that leaves TAIL_MASS or
+# more of its Poisson mass above the top level.  A state may put at most
+# BOUNDARY_POPULATION on its top level, the oracle's initial state on its top
+# SUPPORT_MARGIN levels; the CLI's automatic basis adds those to the default.
+TAIL_MASS = 1e-12
+BOUNDARY_POPULATION = 1e-10
+SUPPORT_MARGIN = 10
 
 
 class TruncationError(ValueError):
@@ -107,12 +118,6 @@ class FockOperator:
     def dagger(self) -> "FockOperator":
         return FockOperator(self.matrix.conj().T)
 
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        if self.n_trunc != other.n_trunc:
-            raise ValueError("operator dimensions differ: "
-                             f"{self.n_trunc} vs {other.n_trunc}")
-        return FockOperator(self.matrix @ other.matrix)
-
 
 def annihilation_operator(n_trunc: int) -> FockOperator:
     """Ladder-down operator: <n|a|n+1> = sqrt(n+1)."""
@@ -162,6 +167,8 @@ def _lgamma_table(size: int) -> np.ndarray:
 
 def log_factorial(n: int) -> np.ndarray:
     """Read-only log(k!) for k = 0 .. n - 1, sliced from a cached table."""
+    if n < 0:
+        raise ValueError(f"log_factorial needs n >= 0, got {n}")
     return _lgamma_table(1 << max(n - 1, 63).bit_length())[:n]
 
 
@@ -189,6 +196,20 @@ def default_truncation(alpha: complex) -> int:
     return int(math.ceil(mu + 10.0 * math.sqrt(mu + 1.0) + 10.0))
 
 
+def checked_truncation(alpha: complex, n_trunc: int | None = None) -> int:
+    """n_trunc, default `default_truncation(alpha)`, if at least 1 and the
+    Poisson tail of |alpha|^2 beyond it is below TAIL_MASS."""
+    n_trunc = default_truncation(alpha) if n_trunc is None else n_trunc
+    if n_trunc < 1:
+        raise TruncationError("n_trunc must be at least 1")
+    mu = abs(alpha) ** 2
+    if (tail := poisson_tail(mu, n_trunc)) >= TAIL_MASS:
+        raise TruncationError(
+            f"n_trunc={n_trunc} leaves tail mass {tail:.3e} >= {TAIL_MASS:g} "
+            f"for |alpha|^2={mu:.6g}")
+    return n_trunc
+
+
 def coherent_amplitudes(alpha, n_trunc: int) -> np.ndarray:
     """Unnormalized coherent amplitudes e^{-|a|^2/2} a^n / sqrt(n!).
 
@@ -213,24 +234,15 @@ def coherent_state(alpha: complex, n_trunc: int | None = None) -> FockState:
     alpha : complex
         Coherent amplitude.
     n_trunc : int, optional
-        Basis size; defaults to `default_truncation(alpha)`.  Rejected if the
-        Poisson tail mass beyond it exceeds 1e-12.
+        Basis size, default `default_truncation(alpha)`; `checked_truncation`
+        refuses one whose Poisson tail mass reaches TAIL_MASS.
 
     Returns
     -------
     FockState
         Renormalized to unit norm after truncation.
     """
-    if n_trunc is None:
-        n_trunc = default_truncation(alpha)
-    if n_trunc < 1:
-        raise TruncationError("n_trunc must be at least 1")
-    tail = poisson_tail(abs(alpha) ** 2, n_trunc)
-    if tail >= 1e-12:
-        raise TruncationError(
-            f"n_trunc={n_trunc} leaves tail mass {tail:.3e} >= 1e-12 "
-            f"for |alpha|^2={abs(alpha)**2:.6g}")
-    amps = coherent_amplitudes(alpha, n_trunc)
+    amps = coherent_amplitudes(alpha, checked_truncation(alpha, n_trunc))
     amps /= np.linalg.norm(amps)
     return FockState(amps, normalized=True, renormalized=True)
 

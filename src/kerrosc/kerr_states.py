@@ -59,7 +59,7 @@ def kerr_state(params: KerrStateParams, n_trunc: int | None = None) -> FockState
     Raises
     ------
     TruncationError
-        If the Poisson tail beyond n_trunc exceeds 1e-12.
+        If n_trunc < 1 or leaves Poisson tail mass `fock.TAIL_MASS` or more.
     """
     amps = coherent_state(params.beta, n_trunc).amplitudes
     kerr_phase = np.exp(-1j * float(params.xi) * np.arange(amps.size) ** 2)

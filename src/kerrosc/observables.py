@@ -22,7 +22,7 @@ from .evolution import (
     _evolved_amplitudes,
     evolved_state,
 )
-from .fock import FockState, _freeze, coherent_amplitudes
+from .fock import FockState, _freeze, coherent_amplitudes, default_truncation
 
 __all__ = [
     "AutocorrSeries",
@@ -84,23 +84,20 @@ def autocorrelation_series(params: ModelParams, sol: WeiNormanSolution,
 
     Summed from the closed-form amplitudes, so F carries the exact global
     phase of the evolved state (from X1 and X3) and equals the inner product
-    of the state vectors, not only in modulus.  The terms
-    (conj(alpha) eta_t)^n / n! peak near n = |alpha eta_t|; each block of
-    1024 times is one amplitude matrix, summed to the largest n_top any of
-    them needs, where their Poisson tail is below 1e-12.
+    of the state vectors, not only in modulus.  Term n is at most the
+    Poisson(|alpha eta_t|) probability of n, so a block of 1024 times, one
+    amplitude matrix, sums `default_truncation(sqrt(m))` levels, m its largest
+    |alpha eta_t|, and leaves out less than `fock.TAIL_MASS`.
     """
-    if times is None:
-        times, xs = sol.times, (sol.x1, sol.x2, sol.x3)
-    else:
-        times = np.asarray(times, dtype=float)
-        xs = sol._at(times)  # one quadrature for all three
+    times = sol.times if times is None else np.asarray(times, dtype=float)
+    xs = sol._at(times)  # one quadrature for all three
     values = np.empty(times.shape, dtype=np.complex128)
     for start in range(0, times.size, _CHUNK):
         part = slice(start, start + _CHUNK)
         x1, x2, x3 = (x[part] for x in xs)
         eta = x2 + params.alpha
-        mag = float(np.max(np.abs(params.alpha * eta)))
-        n_top = int(math.ceil(mag + 12.0 * math.sqrt(mag + 1.0) + 20.0))
+        n_top = default_truncation(
+            math.sqrt(np.max(np.abs(params.alpha * eta))))
         values[part] = _evolved_amplitudes(params, times[part], x1, x3, eta,
                                            n_top) \
             @ coherent_amplitudes(params.alpha, n_top).conj()

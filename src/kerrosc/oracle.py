@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .evolution import ModelParams
-from .fock import FockState, _freeze
+from .fock import BOUNDARY_POPULATION, SUPPORT_MARGIN, FockState, _freeze
 from .integrators import StepSizeError
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _NORM_DRIFT_LIMIT = 1e-8
-_BOUNDARY_POPULATION = 1e-10
-_SUPPORT_MARGIN = 10
 _HERMITIAN_RTOL = 1e-12  # |H - H^dagger| / |H| above rounding
 
 # Step-size controller of `_step_doubling`.
@@ -234,8 +232,8 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
     ----------
     params : ModelParams
     psi0 : FockState
-        Normalized initial state whose top `_SUPPORT_MARGIN` levels must be
-        essentially empty.
+        Normalized initial state whose top SUPPORT_MARGIN levels hold at
+        most BOUNDARY_POPULATION (both from `kerrosc.fock`).
     t_end : float
         Final time.
     tol : float
@@ -252,9 +250,9 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
     Raises
     ------
     OracleError
-        If the norm drifts beyond 1e-8 or the support reaches the truncation
-        boundary (top-level population above 1e-10), or a step's state is
-        not finite (a NaN or inf drive value); the message names the step.
+        If the norm drifts beyond 1e-8, the top-level population passes
+        BOUNDARY_POPULATION, or a step's state is not finite (a NaN or inf
+        drive value); the message names the step.
     StepSizeError
         If the budget tol * h falls under the rounding floor of the error
         estimate (machine epsilon / 15, about 1.5e-17), or the step
@@ -264,11 +262,11 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
     if abs(psi0.norm() - 1.0) > 1e-9:
         raise ValueError("initial state must be normalized")
     n_trunc = psi0.n_trunc
-    margin_pop = float(np.sum(psi0.occupations()[n_trunc - _SUPPORT_MARGIN:]))
-    if n_trunc <= _SUPPORT_MARGIN or margin_pop > _BOUNDARY_POPULATION:
+    margin_pop = float(np.sum(psi0.occupations()[n_trunc - SUPPORT_MARGIN:]))
+    if n_trunc <= SUPPORT_MARGIN or margin_pop > BOUNDARY_POPULATION:
         raise OracleError(
             f"initial support too close to the truncation boundary "
-            f"(top-{_SUPPORT_MARGIN} population {margin_pop:.3e})")
+            f"(top-{SUPPORT_MARGIN} population {margin_pop:.3e})")
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 1001)
     times = np.asarray(sample_times, dtype=float)
@@ -299,7 +297,7 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
     if peak_drift > _NORM_DRIFT_LIMIT:
         raise OracleError(f"norm drift {peak_drift:.3e} exceeds "
                           f"{_NORM_DRIFT_LIMIT:g}; run invalid")
-    if peak_top > _BOUNDARY_POPULATION:
+    if peak_top > BOUNDARY_POPULATION:
         raise OracleError(
             f"support reached the truncation boundary "
             f"(top-level population {peak_top:.3e})")

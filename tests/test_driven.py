@@ -14,6 +14,7 @@ from kerrosc.driven import (
     hermite_functions,
 )
 from kerrosc.fock import (
+    BOUNDARY_POPULATION,
     TruncationError,
     coherent_state,
     displacement_operator,
@@ -165,6 +166,14 @@ class TestDisplacedNumberState:
     def test_truncation_loss_detected(self):
         with pytest.raises(TruncationError):
             displaced_number_state(0, 4.0, 8)
+
+    def test_boundary_population_bound(self):
+        # D^dag(1)|0> puts 8.83e-10 on the top of 13 levels, over
+        # BOUNDARY_POPULATION, and 6.7e-11 on the top of 14
+        with pytest.raises(TruncationError, match="top-level population"):
+            displaced_number_state(0, 1.0, 13)
+        top = displaced_number_state(0, 1.0, 14).occupations()[-1]
+        assert 6e-11 < top <= BOUNDARY_POPULATION
 
 
 class TestEigenstructure:

@@ -16,10 +16,12 @@ from kerrosc.evolution import (
     linearized_ladder,
 )
 from kerrosc.fock import (
+    TAIL_MASS,
     FockOperator,
     TruncationError,
     annihilation_operator,
     coherent_state,
+    default_truncation,
     expectation,
     number_state,
     poisson_tail,
@@ -371,8 +373,30 @@ class TestEvolvedState:
         sol = integrate_wei_norman(p, 1.0, tol=1e-10)
         with pytest.raises(TruncationError):
             evolved_state(p, sol, 1.0, 12)
-        # and the guard threshold is the documented 1e-9 tail mass
+        # the tail at 12 levels is far above the guard's fock.TAIL_MASS
         assert poisson_tail(9.0, 12) > 1e-9
+
+    def test_tail_guard_is_the_coherent_state_guard(self):
+        # zero drive keeps eta_t = alpha = 3 exactly; 35 levels leave a
+        # Poisson tail of 3.97e-11, at or above TAIL_MASS, so the evolved
+        # state is refused with coherent_state's own message
+        p = ModelParams(omega0=1.0, drive=DriveSpec.zero(), alpha=3.0)
+        sol = integrate_wei_norman(p, 1.0, tol=1e-10)
+        assert TAIL_MASS <= poisson_tail(9.0, 35) < 4e-11
+        with pytest.raises(TruncationError) as evolved:
+            evolved_state(p, sol, 1.0, 35)
+        with pytest.raises(TruncationError) as coherent:
+            coherent_state(3.0, 35)
+        assert str(evolved.value) == str(coherent.value)
+        assert evolved_state(p, sol, 1.0).n_trunc == default_truncation(3.0)
+
+    @pytest.mark.parametrize("n_trunc", [0, -5])
+    def test_basis_size_below_one_refused(self, n_trunc):
+        p = ModelParams(omega0=1.0, drive=DriveSpec.zero(), alpha=3.0)
+        sol = integrate_wei_norman(p, 1.0, tol=1e-10)
+        with pytest.raises(TruncationError,
+                           match="^n_trunc must be at least 1$"):
+            evolved_state(p, sol, 1.0, n_trunc)
 
     def test_blocked_coefficients_check_the_largest_tail(self):
         # resonant Kerr-free drive: |eta| grows, so 30 levels hold the early

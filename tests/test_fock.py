@@ -194,6 +194,12 @@ class TestHelpers:
         with pytest.raises(ValueError):
             log_factorial(10)[3] = 0.0
 
+    def test_negative_sizes_refused(self):
+        with pytest.raises(ValueError, match="n >= 0, got -5"):
+            log_factorial(-5)
+        with pytest.raises(ValueError, match="n >= 0, got -5"):
+            poisson_tail(9.0, -5)
+
     def test_minimal_accepted_truncation_unchanged(self):
         # the smallest basis coherent_state accepts is the one the
         # incomplete-gamma tail (scipy's gammainc) puts under 1e-12

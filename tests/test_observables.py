@@ -6,7 +6,12 @@ import pytest
 
 from kerrosc.config import load_config
 from kerrosc.driven import DriveSpec
-from kerrosc.evolution import ModelParams, evolved_state, integrate_wei_norman
+from kerrosc.evolution import (
+    ModelParams,
+    _evolved_amplitudes,
+    evolved_state,
+    integrate_wei_norman,
+)
 from kerrosc.fock import (
     FockState,
     coherent_amplitudes,
@@ -93,6 +98,25 @@ class TestAutocorrelation:
             loop = [inner(start, evolved_state(p, sol, float(t), n_trunc))
                     for t in at]
             np.testing.assert_allclose(values, loop, rtol=0, atol=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:chi/omega0")
+    @pytest.mark.parametrize("name", ["autocorr_kerr_free",
+                                      "autocorr_kerr_quarter",
+                                      "autocorr_kerr_unit"])
+    def test_policy_sized_series_matches_400_levels(self, name):
+        # each block sums default_truncation(sqrt(max |alpha eta|)) levels;
+        # the terms it leaves out are below rounding of a unit-size sum
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        cfg = load_config(str(scenarios / f"{name}.yaml"))
+        p = ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=cfg.drive(),
+                        alpha=cfg.alpha)
+        sol = integrate_wei_norman(p, cfg.t_end, tol=cfg.tolerance,
+                                   samples=cfg.samples)
+        start = coherent_amplitudes(p.alpha, 400).conj()
+        full = _evolved_amplitudes(p, sol.times, sol.x1, sol.x3, sol.eta,
+                                   400) @ start
+        np.testing.assert_allclose(autocorrelation_series(p, sol).values,
+                                   full, rtol=0, atol=1e-15)
 
     def test_series_container_invariants(self):
         p = fig2_params(0.25)
