@@ -27,8 +27,8 @@ from .evolution import (
     _evolved_amplitudes,
     integrate_wei_norman,
 )
-from .fock import (SUPPORT_MARGIN, TruncationError, coherent_state,
-                   default_truncation)
+from .fock import (SUPPORT_MARGIN, TruncationError, _row_blocks,
+                   coherent_state, default_truncation)
 from .integrators import StepSizeError
 from .kerr_states import KerrStateParams, quadrature_variance_ratios
 from .observables import autocorrelation_series, husimi_snapshot
@@ -37,7 +37,6 @@ from .timemap import heisenberg_coefficients, rescaled_time, transformed_frequen
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-_FIDELITY_ROWS = 256  # per oracle fidelity block, to bound the memory
 _SIDECAR_KEYS = ("tolerance", "truncation", "config")  # run keys per sidecar
 
 
@@ -79,35 +78,44 @@ def _write_table(path: Path, columns: list[str], rows: np.ndarray,
         else:
             lines.append(f"# {key}: {value}")
     lines.append(",".join(columns))
-    path.write_text("\n".join(lines) + "\n" + _csv_body(rows),
-                    encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
+        _write_csv_body(f, rows)
 
 
-def _csv_body(rows: np.ndarray) -> str:
-    """The CSV rows as "%.12g" % v of each value, in one %-format call.
+def _distinct_text(col: np.ndarray):
+    """(sorted distinct float64 bits, "%.12g" % v of each) of a column with
+    at most half as many distinct values as rows (a grid coordinate), else
+    None: for a mostly-distinct column the lookup costs more than it saves.
+    Bits tell -0.0 from 0.0, so each keeps its own text."""
+    bits = np.sort(col.view(np.int64))  # np.unique hashes: slower here
+    new = np.ones(bits.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    if 2 * np.count_nonzero(new) > bits.size:
+        return None
+    distinct = bits[new]
+    return distinct, np.array(["%.12g" % v for v in
+                               distinct.view(np.float64).tolist()],
+                              dtype=object)
 
-    A column with at most half as many distinct values as rows (a grid
-    coordinate) has each distinct float64 bit pattern formatted once, so
-    -0.0 and 0.0 keep their own text; a mostly-distinct column goes in as
-    floats, where the lookup would cost more than it saves.
-    """
-    cells, fmts = np.empty(rows.shape, dtype=object), []
-    for j, col in enumerate(rows.T):
-        bits = col.view(np.int64)
-        distinct = np.sort(bits)  # np.unique hashes: slower here
-        new = np.ones(distinct.size, dtype=bool)
-        np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
-        distinct = distinct[new]
-        if 2 * distinct.size > col.size:
-            cells[:, j] = col.tolist()
-            fmts.append("%.12g")
-        else:
-            text = np.array(["%.12g" % v for v in
-                             distinct.view(np.float64).tolist()], dtype=object)
-            cells[:, j] = text[np.searchsorted(distinct, bits)]
-            fmts.append("%s")
-    row = ",".join(fmts) + "\n"
-    return row * len(rows) % tuple(cells.ravel().tolist())
+
+def _write_csv_body(f, rows: np.ndarray):
+    """Write the CSV rows as "%.12g" % v of each value, one %-format call
+    per block of rows.  A repeated column's distinct values are formatted
+    once per table and looked up in each block."""
+    tables = [_distinct_text(col) for col in rows.T]
+    row = ",".join("%.12g" if t is None else "%s" for t in tables) + "\n"
+    for part in _row_blocks(len(rows), rows.shape[1]):
+        block = rows[part]
+        cells = np.empty(block.shape, dtype=object)
+        for j, table in enumerate(tables):
+            if table is None:
+                cells[:, j] = block[:, j].tolist()
+            else:
+                distinct, text = table
+                cells[:, j] = text[np.searchsorted(
+                    distinct, block[:, j].view(np.int64))]
+        f.write(row * len(block) % tuple(cells.ravel().tolist()))
 
 
 def _model_params(cfg: ScenarioConfig) -> ModelParams:
@@ -158,8 +166,7 @@ def run_oracle(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     cols, rows = _wei_norman_rows(cfg, sol)
     x1, x3, eta, _ = _checked_coefficients(params, sol, run.times, n_trunc)
     fid = np.empty(run.times.size)
-    for start in range(0, fid.size, _FIDELITY_ROWS):
-        part = slice(start, start + _FIDELITY_ROWS)
+    for part in _row_blocks(fid.size, n_trunc):
         model = _evolved_amplitudes(params, run.times[part], x1[part],
                                     x3[part], eta[part], n_trunc)
         exact = run.states[part]

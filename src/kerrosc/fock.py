@@ -47,6 +47,9 @@ __all__ = [
 TAIL_MASS = 1e-12
 BOUNDARY_POPULATION = 1e-10
 SUPPORT_MARGIN = 10
+# A state marked normalized, or the oracle's initial state, has unit norm
+# within UNIT_NORM_TOL.
+UNIT_NORM_TOL = 1e-9
 
 
 class TruncationError(ValueError):
@@ -64,6 +67,19 @@ def _freeze(record, names, dtype=None, copy: bool = False) -> None:
         object.__setattr__(record, name, arr)
 
 
+# Work that scales with a run's samples (the oracle's norm drift and fidelity
+# columns, the CSV body) goes by rows in blocks of at most _BLOCK_CELLS
+# cells, rows x columns, so its temporaries stay within a block.
+_BLOCK_CELLS = 1 << 13
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices over range(rows), in order, of _BLOCK_CELLS // width rows
+    each (at least one)."""
+    step = max(1, _BLOCK_CELLS // width)
+    return (slice(start, start + step) for start in range(0, rows, step))
+
+
 @dataclass(frozen=True)
 class FockState:
     """Pure state as a complex amplitude vector over |0>, ..., |n_trunc - 1>.
@@ -73,9 +89,11 @@ class FockState:
     amplitudes : ndarray
         Complex amplitudes; made read-only on construction.
     normalized : bool
-        Marks states guaranteed to have unit norm within 1e-9.
+        Marks states of unit norm within UNIT_NORM_TOL (1e-9); a vector
+        further from it is refused with ValueError.
     renormalized : bool
-        Set when a post-truncation rescale was applied by the constructor.
+        Set by the function that built the state when it rescaled the
+        truncated amplitudes to unit norm; the constructor never rescales.
     """
 
     amplitudes: np.ndarray
@@ -86,6 +104,9 @@ class FockState:
         _freeze(self, ("amplitudes",), np.complex128, copy=True)
         if self.amplitudes.ndim != 1 or self.amplitudes.size < 1:
             raise ValueError("amplitudes must be a non-empty 1-D vector")
+        if self.normalized and not abs(self.norm() - 1.0) <= UNIT_NORM_TOL:
+            raise ValueError(f"normalized state has norm {self.norm():.12g}, "
+                             f"more than {UNIT_NORM_TOL:g} from 1")
 
     @property
     def n_trunc(self) -> int:

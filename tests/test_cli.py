@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from kerrosc import cli
 from kerrosc.cli import _model_params, _write_table, main
 from kerrosc.config import emit_config, load_config
 from kerrosc.evolution import evolved_state, integrate_wei_norman
-from kerrosc.fock import coherent_state
+from kerrosc.fock import _BLOCK_CELLS, coherent_state
 from kerrosc.oracle import fidelity, integrate_exact
 
 FAST_MODEL = """
@@ -278,13 +279,39 @@ class TestWriteTable:
     META = {"generator": "test", "config": "a: 1\nb: 2\n"}
 
     def test_csv_body_equals_the_per_value_format(self, tmp_path):
-        path = tmp_path / "t.csv"
-        _write_table(path, self.COLUMNS, self.ROWS, self.META, "csv")
-        expected = "".join(",".join(f"{v:.12g}" for v in row) + "\n"
-                           for row in self.ROWS.tolist())
-        assert path.read_bytes() == (
-            "# generator: test\n# config:\n#   a: 1\n#   b: 2\na,b,c,d\n"
-            + expected).encode()
+        # ROWS once, then tiled past three blocks of rows with the block
+        # edges at different rows of ROWS; b, scaled by its tile's number,
+        # stays mostly distinct
+        for tiles in (1, 3 * _BLOCK_CELLS // 40 + 1):
+            rows = np.tile(self.ROWS, (tiles, 1))
+            rows[:, 1] *= np.repeat(np.arange(1.0, tiles + 1), len(self.ROWS))
+            assert tiles == 1 or len(rows) > 3 * (_BLOCK_CELLS // 4)
+            path = tmp_path / "t.csv"
+            _write_table(path, self.COLUMNS, rows, self.META, "csv")
+            expected = "".join(",".join(f"{v:.12g}" for v in row) + "\n"
+                               for row in rows.tolist())
+            assert path.read_bytes() == (
+                "# generator: test\n# config:\n#   a: 1\n#   b: 2\na,b,c,d\n"
+                + expected).encode()
+
+    def test_csv_memory_does_not_grow_with_rows(self, tmp_path):
+        # writing 20 blocks of rows takes less than one block's traced peak
+        # more than writing 2 blocks
+        rng = np.random.default_rng(5)
+        columns = [f"c{j}" for j in range(13)]
+        block = _BLOCK_CELLS // len(columns)
+        peaks = []
+        for rows in (block, 2 * block, 20 * block):
+            table = rng.random((rows, len(columns)))
+            tracemalloc.start()
+            try:
+                _write_table(tmp_path / "t.csv", columns, table, self.META,
+                             "csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, short, long = peaks
+        assert long - short < one, peaks
 
     def test_json_rows_equal_the_per_value_floats(self, tmp_path):
         path = tmp_path / "t.json"

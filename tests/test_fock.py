@@ -213,6 +213,19 @@ class TestHelpers:
                 with pytest.raises(TruncationError):
                     coherent_state(mag, n_min - 1)
 
+    @pytest.mark.parametrize("scale", [math.sqrt(3.0), 1.0 + 2e-9, 0.0,
+                                       math.nan])
+    def test_normalized_claim_checked(self, scale):
+        # a vector marked normalized more than 1e-9 from unit norm is refused,
+        # with its norm in the message; within 1e-9 it is kept as given
+        v = np.ones(3) / math.sqrt(3.0)
+        norm = np.linalg.norm(scale * v)
+        with pytest.raises(ValueError, match=f"norm {norm:.12g}, more than"):
+            FockState(scale * v, normalized=True)
+        FockState(scale * v)  # no claim, no check
+        kept = FockState((1.0 + 5e-10) * v, normalized=True)
+        assert kept.norm() == pytest.approx(1.0 + 5e-10, abs=1e-15)
+
     def test_inner_conjugates_first_argument(self):
         s1 = coherent_state(1.0, 25)
         s2 = coherent_state(1j, 25)

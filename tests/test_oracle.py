@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from kerrosc.driven import DriveSpec
 from kerrosc.evolution import ModelParams, evolved_state, integrate_wei_norman
 from kerrosc.fock import (
+    _BLOCK_CELLS,
     FockState,
     coherent_state,
     momentum_operator,
@@ -78,6 +80,27 @@ class TestIntegrateExact:
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
         run = integrate_exact(p, coherent_state(1.0, 50), 10.0, tol=1e-10)
         assert run.norm_drift.max() <= 1e-8
+
+    def test_memory_beyond_the_states_does_not_grow_with_samples(self):
+        # the traced peak past the states grows by less than one block of
+        # states when the samples grow tenfold; the drift column is the
+        # whole-array norm, bit for bit
+        p = ModelParams(omega0=1.0, chi=0.2,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
+        psi0 = coherent_state(1.0, 60)
+        extra = []
+        for samples in (200, 2000):
+            tracemalloc.start()
+            try:
+                run = integrate_exact(p, psi0, 1.0, sample_times=np.linspace(
+                    0.0, 1.0, samples))
+                extra.append(tracemalloc.get_traced_memory()[1]
+                             - run.states.nbytes)
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(run.norm_drift, np.abs(
+                np.linalg.norm(run.states, axis=1) - 1.0))
+        assert extra[1] - extra[0] < _BLOCK_CELLS * 16, extra
 
     def test_rejects_initial_state_near_boundary(self):
         p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
