@@ -13,8 +13,9 @@ branches, so it stays an independent route to the answer.
 the time-reparametrization theorem, takes unitary 4th-order commutator-free
 Magnus steps (Blanes & Moan, Appl. Numer. Math. 56:1519, 2006) through
 `eigh` on the decoupled blocks of H(t), in real arithmetic where H(t) is
-real.  Both run under one step-doubling controller, `_step_doubling`, and
-read tol as the same error budget per unit step.
+real.  Both run under one step-doubling controller, `_step_doubling`, which
+hands the sample states over in blocks of rows, and read tol as the same
+error budget per unit step.
 """
 
 from __future__ import annotations
@@ -160,10 +161,14 @@ def _wall_time(start: float, attempted: int) -> str:
     return f"{wall:.3f} s wall, {per_step:.1f} us per attempted step"
 
 
-def _step_doubling(pair, psi0, t_end: float, times: np.ndarray,
-                   tol: float) -> tuple[np.ndarray, int, int]:
-    """States at the sorted sample times of a run from psi0 at t = 0, and the
+def _step_doubling(pair, psi0, t_end: float, times: np.ndarray, tol: float,
+                   take) -> tuple[int, int]:
+    """Step from psi0 at t = 0 through the sorted sample times; returns the
     accepted and rejected step counts.
+
+    The states at times[part] go to take(part, states) as each `_row_blocks`
+    block fills, in a fresh (rows, levels) array, so a run holds one block
+    of samples, not all of them.
 
     pair(psi, t, h) returns (psi_h, psi_(h/2, h/2)): one step of length h of
     a 4th-order one-step map, and two steps of h/2.  A step's error estimate
@@ -187,35 +192,99 @@ def _step_doubling(pair, psi0, t_end: float, times: np.ndarray,
     h = span * 1e-3
     h_min = max(span * 1e-14, _ESTIMATE_FLOOR / tol)
     psi = np.array(psi0, dtype=np.complex128)
-    states = np.empty((times.size, psi.size), dtype=np.complex128)
     t = 0.0
     accepted = rejected = 0
-    for i, target in enumerate(times):
-        while t < target:
-            if h < h_min:
-                raise StepSizeError(f"step size underflow at t={t:.6g}", t)
-            pieces = math.ceil((target - t) / h)
-            step = (target - t) / pieces
-            full, halves = pair(psi, t, step)
-            err = np.linalg.norm(halves - full) / 15.0
-            if not math.isfinite(err):  # a NaN or inf drive value, say
-                raise OracleError(f"non-finite state in the step from "
-                                  f"t={t:.6g} to t={t + step:.6g}")
-            ok = err <= tol * h
-            if ok:
-                psi = halves
-                t = target if pieces == 1 else t + step
-                accepted += 1
-            else:
-                rejected += 1
-            # A step cut short to land on a sample says nothing about how
-            # long a step could be; a sliver of rounding size would collapse h.
-            if not (ok and pieces == 1 and step < h):
-                factor = (_MAX_FACTOR if err == 0.0 else
-                          _SAFETY * (tol * step / err) ** 0.25)
-                h = step * min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
-        states[i] = psi
-    return states, accepted, rejected
+    for part in _row_blocks(times.size, psi.size):
+        block = np.empty((times[part].size, psi.size), dtype=np.complex128)
+        for row, target in enumerate(times[part]):
+            while t < target:
+                if h < h_min:
+                    raise StepSizeError(f"step size underflow at t={t:.6g}", t)
+                pieces = math.ceil((target - t) / h)
+                step = (target - t) / pieces
+                full, halves = pair(psi, t, step)
+                err = np.linalg.norm(halves - full) / 15.0
+                if not math.isfinite(err):  # a NaN or inf drive value, say
+                    raise OracleError(f"non-finite state in the step from "
+                                      f"t={t:.6g} to t={t + step:.6g}")
+                ok = err <= tol * h
+                if ok:
+                    psi = halves
+                    t = target if pieces == 1 else t + step
+                    accepted += 1
+                else:
+                    rejected += 1
+                # A step cut short to land on a sample says nothing about
+                # how long a step could be; a sliver of rounding size would
+                # collapse h.
+                if not (ok and pieces == 1 and step < h):
+                    factor = (_MAX_FACTOR if err == 0.0 else
+                              _SAFETY * (tol * step / err) ** 0.25)
+                    h = step * min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
+            block[row] = psi
+        take(part, block)
+    return accepted, rejected
+
+
+def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
+                  tol: float, times: np.ndarray, take) -> tuple[int, int]:
+    """`integrate_exact`'s run, handing take(part, states, norm_drift) each
+    block of sample states once it passed the guard; returns the accepted
+    and rejected step counts.
+
+    The guard checks each block as it lands and raises OracleError at the
+    first sample past a bound, naming its time: a norm drift beyond
+    `_NORM_DRIFT_LIMIT`, or a top-level population beyond
+    BOUNDARY_POPULATION.
+    """
+    start = time.perf_counter()
+    if abs(psi0.norm() - 1.0) > UNIT_NORM_TOL:
+        raise ValueError("initial state must be normalized")
+    n_trunc = psi0.n_trunc
+    margin_pop = float(np.sum(psi0.occupations()[n_trunc - SUPPORT_MARGIN:]))
+    if n_trunc <= SUPPORT_MARGIN or margin_pop > BOUNDARY_POPULATION:
+        raise OracleError(
+            f"initial support too close to the truncation boundary "
+            f"(top-{SUPPORT_MARGIN} population {margin_pop:.3e})")
+
+    energies = _diagonal_energies(params, n_trunc)
+    ladder = np.sqrt(np.arange(1, n_trunc))
+    coupling = (np.diag(ladder, 1) + np.diag(ladder, -1)) \
+        / math.sqrt(2.0 * params.omega0)
+    d, u = np.linalg.eigh(coupling)
+
+    pair = partial(_exact_pair, drive=params.drive, energies=energies, d=d,
+                   u=u, work=_pair_workspace(n_trunc))
+    peak_drift = peak_top = 0.0
+
+    def guarded(part, states):
+        nonlocal peak_drift, peak_top
+        # Nearly vacuous under a unitary scheme: the drift stays at the
+        # rounding level, so this only catches a non-unitary U or a bug.
+        drift = np.abs(np.linalg.norm(states, axis=1) - 1.0)
+        top = np.abs(states[:, -1]) ** 2
+        peak_drift = max(peak_drift, float(drift.max()))
+        peak_top = max(peak_top, float(top.max()))
+        t = times[part]
+        # NaN is past a bound too: a comparison with NaN is False
+        if (past := ~(drift <= _NORM_DRIFT_LIMIT)).any():
+            k = past.argmax()
+            raise OracleError(f"norm drift {drift[k]:.3e} at t={t[k]:.6g} "
+                              f"exceeds {_NORM_DRIFT_LIMIT:g}; run invalid")
+        if (past := ~(top <= BOUNDARY_POPULATION)).any():
+            k = past.argmax()
+            raise OracleError(
+                f"support reached the truncation boundary at t={t[k]:.6g} "
+                f"(top-level population {top[k]:.3e})")
+        take(part, states, drift)
+
+    accepted, rejected = _step_doubling(pair, psi0.amplitudes, t_end, times,
+                                        tol, guarded)
+    logger.debug("integrate_exact: %d accepted, %d rejected steps, budget "
+                 "%g per unit step, peak norm drift %.3e, peak boundary "
+                 "population %.3e, %s", accepted, rejected, tol, peak_drift,
+                 peak_top, _wall_time(start, accepted + rejected))
+    return accepted, rejected
 
 
 def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
@@ -251,60 +320,26 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
     Raises
     ------
     OracleError
-        If the norm drifts beyond 1e-8, the top-level population passes
-        BOUNDARY_POPULATION, or a step's state is not finite (a NaN or inf
-        drive value); the message names the step.
+        If the norm drifts beyond 1e-8 or the top-level population passes
+        BOUNDARY_POPULATION at a sample (the message names the first such
+        sample time), or a step's state is not finite (a NaN or inf drive
+        value; the message names the step).
     StepSizeError
         If the budget tol * h falls under the rounding floor of the error
         estimate (machine epsilon / 15, about 1.5e-17), or the step
         collapses below 1e-14 of the span.
     """
-    start = time.perf_counter()
-    if abs(psi0.norm() - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("initial state must be normalized")
-    n_trunc = psi0.n_trunc
-    margin_pop = float(np.sum(psi0.occupations()[n_trunc - SUPPORT_MARGIN:]))
-    if n_trunc <= SUPPORT_MARGIN or margin_pop > BOUNDARY_POPULATION:
-        raise OracleError(
-            f"initial support too close to the truncation boundary "
-            f"(top-{SUPPORT_MARGIN} population {margin_pop:.3e})")
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 1001)
     times = np.asarray(sample_times, dtype=float)
-
-    energies = _diagonal_energies(params, n_trunc)
-    ladder = np.sqrt(np.arange(1, n_trunc))
-    coupling = (np.diag(ladder, 1) + np.diag(ladder, -1)) \
-        / math.sqrt(2.0 * params.omega0)
-    d, u = np.linalg.eigh(coupling)
-
-    pair = partial(_exact_pair, drive=params.drive, energies=energies, d=d,
-                   u=u, work=_pair_workspace(n_trunc))
-
-    states, accepted, rejected = _step_doubling(
-        pair, psi0.amplitudes, t_end, times, tol)
-
-    # Nearly vacuous under a unitary scheme: the drift stays at the rounding
-    # level, so this only catches a non-unitary U or a bug.  It stays anyway.
-    # By blocks of rows: the norm's temporaries are states-sized otherwise.
+    states = np.empty((times.size, psi0.n_trunc), dtype=np.complex128)
     drift = np.empty(times.size)
-    for part in _row_blocks(times.size, n_trunc):
-        drift[part] = np.abs(np.linalg.norm(states[part], axis=1) - 1.0)
-    top_pop = np.abs(states[:, -1]) ** 2
-    peak_drift = float(drift.max(initial=0.0))
-    peak_top = float(top_pop.max(initial=0.0))
-    logger.debug("integrate_exact: %d accepted, %d rejected steps, budget "
-                 "%g per unit step, peak norm drift %.3e, peak boundary "
-                 "population %.3e, %s", accepted, rejected, tol, peak_drift,
-                 peak_top, _wall_time(start, accepted + rejected))
-    if peak_drift > _NORM_DRIFT_LIMIT:
-        raise OracleError(f"norm drift {peak_drift:.3e} exceeds "
-                          f"{_NORM_DRIFT_LIMIT:g}; run invalid")
-    if peak_top > BOUNDARY_POPULATION:
-        raise OracleError(
-            f"support reached the truncation boundary "
-            f"(top-level population {peak_top:.3e})")
-    return OracleRun(params=params, n_trunc=n_trunc, times=times,
+
+    def keep(part, block, block_drift):
+        states[part], drift[part] = block, block_drift
+
+    accepted, rejected = _exact_blocks(params, psi0, t_end, tol, times, keep)
+    return OracleRun(params=params, n_trunc=psi0.n_trunc, times=times,
                      states=states, norm_drift=drift,
                      accepted_steps=accepted, rejected_steps=rejected,
                      budget=tol)
@@ -405,9 +440,14 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
         half = 0.5 * h
         return cf4(psi, t, h), cf4(cf4(psi, t, half), t + half, half)
 
-    states, accepted, rejected = _step_doubling(
-        pair, psi0.amplitudes, float(t_end),
-        np.asarray(sample_times, dtype=float), tol)
+    times = np.asarray(sample_times, dtype=float)
+    states = np.empty((times.size, n), dtype=np.complex128)
+
+    def keep(part, block):
+        states[part] = block
+
+    accepted, rejected = _step_doubling(pair, psi0.amplitudes, float(t_end),
+                                        times, tol, keep)
     partition = " and ".join(
         f"{len(g)} block{'s' * (len(g) > 1)} of {g.shape[1]} "
         f"level{'s' * (g.shape[1] > 1)}" for g in groups)

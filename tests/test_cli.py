@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,15 @@ time: {t_end: 3.0, samples: 121}
 grid: {resolution: 61}
 husimi: {times: [0.0, 1.5]}
 variances: {samples: 101}
+tolerance: 1.0e-8
+"""
+
+# A resonant drive without the Kerr term pumps the amplitude: 30 levels hold
+# the initial state but not the state at t = 12.
+PUMPED_MODEL = """
+model: {omega0: 1.0, chi: 0.0, alpha: 1.0}
+drive: cos
+time: {t_end: 12.0, samples: 121}
 tolerance: 1.0e-8
 """
 
@@ -107,6 +117,48 @@ class TestSubcommands:
                          evolved_state(params, sol, float(t), 30))
                 for i, t in enumerate(run.times)]
         np.testing.assert_allclose(data[:, -1], loop, rtol=0, atol=1e-12)
+
+    def test_oracle_summary_keys_equal_the_columns(self, cfg_file, tmp_path):
+        # fidelity_min is the fidelity column's minimum and its first time,
+        # norm_drift_max the drift column's maximum, the same in both formats
+        metas = {}
+        for fmt in ("csv", "json"):
+            assert main(["oracle", "--config", str(cfg_file), "--out",
+                         str(tmp_path / fmt), "--format", fmt]) == 0
+            metas[fmt] = read_meta(tmp_path / fmt / f"oracle.{fmt}")
+        doc = json.loads((tmp_path / "json" / "oracle.json").read_text())
+        data = np.array(doc["rows"])
+        fid = data[:, doc["columns"].index("fidelity")]
+        drift = data[:, doc["columns"].index("norm_drift")]
+        k = int(np.argmin(fid))
+        value, t = metas["json"]["fidelity_min"].split(" at t=")
+        assert (float(value), float(t)) == (fid[k], data[k, 0])
+        assert metas["json"]["norm_drift_max"] == drift.max()
+        assert metas["csv"]["fidelity_min"].strip() == \
+            metas["json"]["fidelity_min"]
+        assert float(metas["csv"]["norm_drift_max"]) == drift.max()
+
+    def test_oracle_memory_does_not_grow_with_levels(self, tmp_path):
+        # each block of exact states is reduced and dropped: from 60 to 240
+        # levels at 2,000 samples the traced peak grows by less than one
+        # block of states (a run holding them all grows by 6.1 MB)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(FAST_MODEL.replace("samples: 121", "samples: 2000"))
+        cfg = load_config(path)
+
+        def write(stem, columns, rows, extra_meta):
+            pass
+
+        cli.run_oracle(cfg, cfg.tolerance, 60, write)  # warm-up
+        peaks = []
+        for trunc in (60, 240):
+            tracemalloc.start()
+            try:
+                cli.run_oracle(cfg, cfg.tolerance, trunc, write)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < _BLOCK_CELLS * 16, peaks
 
     def test_variances_reproduces_closed_form(self, cfg_file, tmp_path):
         out = tmp_path / "out"
@@ -223,7 +275,9 @@ def read_meta(path):
 
 
 class TestOutputPath:
-    OWN_KEYS = {"simulate": [], "oracle": ["oracle_steps"], "variances": [],
+    OWN_KEYS = {"simulate": [],
+                "oracle": ["oracle_steps", "fidelity_min", "norm_drift_max"],
+                "variances": [],
                 "autocorr": ["revival_times"],
                 "husimi": ["snapshot_tau", "snapshot_t"], "spectrum": [],
                 "timemap": []}
@@ -338,6 +392,17 @@ class TestExitCodes:
         # forced truncation far below the state support
         assert main(["oracle", "--config", str(cfg_file),
                      "--out", str(tmp_path), "--trunc", "12"]) == 3
+
+    def test_boundary_reached_mid_run_exit_3_naming_t(self, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "pumped.yaml"
+        cfg.write_text(PUMPED_MODEL)
+        assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path),
+                     "--trunc", "30"]) == 3
+        found = re.match(r"error\[oracle\]: support reached the truncation "
+                         r"boundary at t=(\S+) ", capsys.readouterr().err)
+        assert found and 0.0 < float(found[1]) < 12.0
+        assert not (tmp_path / "oracle.csv").exists()
 
     def test_modulated_frequency_rejected_for_dynamics(self, tmp_path):
         cfg = tmp_path / "k.yaml"

@@ -11,6 +11,7 @@ from kerrosc.driven import DriveSpec
 from kerrosc.evolution import ModelParams, evolved_state, integrate_wei_norman
 from kerrosc.fock import (
     _BLOCK_CELLS,
+    BOUNDARY_POPULATION,
     FockState,
     coherent_state,
     momentum_operator,
@@ -101,6 +102,29 @@ class TestIntegrateExact:
             np.testing.assert_array_equal(run.norm_drift, np.abs(
                 np.linalg.norm(run.states, axis=1) - 1.0))
         assert extra[1] - extra[0] < _BLOCK_CELLS * 16, extra
+
+    def test_boundary_reached_mid_run_names_the_first_sample_past_it(self):
+        # a resonant Kerr-free drive pumps alpha = 1 out of 30 levels: the
+        # basis passes the initial check, and the guard stops the run at the
+        # first sample whose top level holds more than the bound
+        p = ModelParams(omega0=1.0, chi=0.0,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
+        psi0 = coherent_state(1.0, 30)
+        times = np.linspace(0.0, 12.0, 121)
+        with pytest.raises(OracleError, match=r"^support reached the "
+                                              r"truncation boundary at t=") \
+                as info:
+            integrate_exact(p, psi0, 12.0, tol=1e-8, sample_times=times)
+        found = re.search(r"at t=(\S+) \(top-level population (\S+)\)$",
+                          str(info.value))
+        t, top = float(found[1]), float(found[2])
+        assert top > BOUNDARY_POPULATION
+        k = int(np.flatnonzero(np.abs(times - t) < 1e-3)[0])
+        assert 0 < k < times.size - 1
+        # the same run stopped one sample short of it passes the guard
+        run = integrate_exact(p, psi0, float(times[k - 1]), tol=1e-8,
+                              sample_times=times[:k])
+        assert np.abs(run.states[:, -1]).max() ** 2 <= BOUNDARY_POPULATION
 
     def test_rejects_initial_state_near_boundary(self):
         p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
