@@ -49,13 +49,13 @@ def _writer(out: Path, fmt: str, run_meta: dict, written: list[Path]):
     keys, then the run's tolerance, truncation and config.
     """
     def write(stem, columns, rows, extra_meta):
-        out.mkdir(parents=True, exist_ok=True)
         meta = {**run_meta, **extra_meta}
         if columns is None:
             path = out / f"{stem}.json"
             doc = {k: v for k, v in meta.items() if k not in run_meta}
             doc.update((k, meta[k]) for k in _SIDECAR_KEYS)
-            path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+            with _created(path) as f:
+                f.write(json.dumps(doc, indent=1) + "\n")
         else:
             path = out / f"{stem}.{fmt}"
             _write_table(path, columns, rows, meta, fmt)
@@ -63,12 +63,23 @@ def _writer(out: Path, fmt: str, run_meta: dict, written: list[Path]):
     return write
 
 
+def _created(path: Path):
+    """path opened for writing, its directory made first; an OSError there
+    (not one while writing) is a ConfigError naming the path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc.filename}: {exc.strerror}") from exc
+
+
 def _write_table(path: Path, columns: list[str], rows: np.ndarray,
                  meta: dict, fmt: str):
     rows = np.asarray(rows, dtype=float)
     if fmt == "json":
         doc = {"meta": meta, "columns": columns, "rows": rows.tolist()}
-        path.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+        with _created(path) as f:
+            f.write(json.dumps(doc, indent=1) + "\n")
         return
     lines = []
     for key, value in meta.items():
@@ -78,7 +89,7 @@ def _write_table(path: Path, columns: list[str], rows: np.ndarray,
         else:
             lines.append(f"# {key}: {value}")
     lines.append(",".join(columns))
-    with path.open("w", encoding="utf-8") as f:
+    with _created(path) as f:
         f.write("\n".join(lines) + "\n")
         _write_csv_body(f, rows)
 
@@ -279,14 +290,19 @@ def run_timemap(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     write("timemap", cols, np.column_stack(columns), {})
 
 
+# Each override flag: the config key it replaces, and that key's type.
+_OVERRIDES = {"--tol": ("tolerance", float), "--trunc": ("truncation", int)}
+
+# Each subcommand's runner and the overrides it reads.  The parser offers
+# just those, so a flag the runner does not read is refused with exit 2.
 SUBCOMMANDS = {
-    "simulate": run_simulate,
-    "oracle": run_oracle,
-    "variances": run_variances,
-    "autocorr": run_autocorr,
-    "husimi": run_husimi,
-    "spectrum": run_spectrum,
-    "timemap": run_timemap,
+    "simulate": (run_simulate, ("--tol",)),
+    "oracle": (run_oracle, ("--tol", "--trunc")),
+    "variances": (run_variances, ()),
+    "autocorr": (run_autocorr, ("--tol",)),
+    "husimi": (run_husimi, ("--tol", "--trunc")),
+    "spectrum": (run_spectrum, ()),
+    "timemap": (run_timemap, ()),
 }
 
 
@@ -296,14 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Driven Kerr-oscillator scenarios: simulation and "
                     "phase-space diagnostics")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name, (_, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML scenario file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the configured integrator tolerance")
-        p.add_argument("--trunc", type=int, default=None,
-                       help="override the configured basis truncation")
+        for flag in flags:
+            key, kind = _OVERRIDES[flag]
+            p.add_argument(flag, dest=key, type=kind,
+                           help=f"override the {key} key")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -313,11 +329,14 @@ def main(argv: list[str] | None = None) -> int:
     written: list[Path] = []
     try:
         cfg = load_config(args.config)
-        # the overrides pass the checks of the keys they replace
-        tol = (cfg.tolerance if args.tol is None
-               else checked_value("tolerance", args.tol, "--tol"))
-        trunc = (cfg.truncation if args.trunc is None
-                 else checked_value("truncation", args.trunc, "--trunc"))
+        run, flags = SUBCOMMANDS[args.subcommand]
+        # an override given passes the checks of the key it replaces
+        resolved = {"tolerance": cfg.tolerance, "truncation": cfg.truncation}
+        for flag in flags:
+            key = _OVERRIDES[flag][0]
+            if (value := getattr(args, key)) is not None:
+                resolved[key] = checked_value(key, value, flag)
+        tol, trunc = resolved["tolerance"], resolved["truncation"]
         run_meta = {  # once per run, so every table shares one config text
             "generator": f"kerrosc {__version__}",
             "subcommand": args.subcommand,
@@ -325,8 +344,8 @@ def main(argv: list[str] | None = None) -> int:
             "truncation": trunc if trunc is not None else "auto",
             "config": emit_config(cfg),
         }
-        SUBCOMMANDS[args.subcommand](cfg, tol, trunc, _writer(
-            Path(args.out), args.format, run_meta, written))
+        run(cfg, tol, trunc,
+            _writer(Path(args.out), args.format, run_meta, written))
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -180,10 +180,11 @@ class WeiNormanSolution:
     def _at(self, t):
         """(X1, X2, X3) at t: complex for a scalar t, else shaped like t."""
         ts = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-        if ts.size and not (self.times[0] <= ts.min()
-                            and ts.max() <= self.times[-1] + 1e-12):
-            raise ValueError(f"t={t} outside the solution window "
-                             f"[{self.times[0]}, {self.times[-1]}]")
+        # NaN is outside too: a comparison with NaN is False
+        outside = ~((self.times[0] <= ts) & (ts <= self.times[-1] + 1e-12))
+        if outside.any():
+            raise ValueError(f"t={ts[outside.argmax()]} outside the solution "
+                             f"window [{self.times[0]}, {self.times[-1]}]")
         k = np.searchsorted(self.times, ts, side="right") - 1
         x = np.stack([self.x1[k], self.x2[k], self.x3[k]])
         off = self.times[k] != ts

@@ -22,7 +22,8 @@ from .evolution import (
     _evolved_amplitudes,
     evolved_state,
 )
-from .fock import FockState, _freeze, coherent_amplitudes, default_truncation
+from .fock import (FockState, _freeze, _row_blocks, coherent_amplitudes,
+                   default_truncation)
 
 __all__ = [
     "AutocorrSeries",
@@ -36,7 +37,6 @@ __all__ = [
     "find_grid_peaks",
 ]
 
-_CHUNK = 1024  # time points per amplitude matrix
 # Horner rescaling in husimi_grid: every _HORNER_CHECK levels, cells whose
 # accumulator passed _HORNER_BIG are divided by it.  A level multiplies |acc|
 # by at most |gamma|, so 8 levels stay finite for |gamma| < 1e19.
@@ -85,21 +85,22 @@ def autocorrelation_series(params: ModelParams, sol: WeiNormanSolution,
     Summed from the closed-form amplitudes, so F carries the exact global
     phase of the evolved state (from X1 and X3) and equals the inner product
     of the state vectors, not only in modulus.  Term n is at most the
-    Poisson(|alpha eta_t|) probability of n, so a block of 1024 times, one
-    amplitude matrix, sums `default_truncation(sqrt(m))` levels, m its largest
-    |alpha eta_t|, and leaves out less than `fock.TAIL_MASS`.
+    Poisson(|alpha eta_t|) probability of n, so each block of times sums
+    `default_truncation(sqrt(m))` levels, m its largest |alpha eta_t|, and
+    leaves out less than `fock.TAIL_MASS`.  The blocks are `_row_blocks`
+    sized for the series' largest m, so no amplitude matrix exceeds
+    `_BLOCK_CELLS` cells.
     """
     times = sol.times if times is None else np.asarray(times, dtype=float)
-    xs = sol._at(times)  # one quadrature for all three
+    x1, x2, x3 = sol._at(times)  # one quadrature for all three
+    eta = x2 + params.alpha
+    reach = np.abs(params.alpha * eta)
     values = np.empty(times.shape, dtype=np.complex128)
-    for start in range(0, times.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        x1, x2, x3 = (x[part] for x in xs)
-        eta = x2 + params.alpha
-        n_top = default_truncation(
-            math.sqrt(np.max(np.abs(params.alpha * eta))))
-        values[part] = _evolved_amplitudes(params, times[part], x1, x3, eta,
-                                           n_top) \
+    width = default_truncation(math.sqrt(np.max(reach, initial=0.0)))
+    for part in _row_blocks(times.size, width):
+        n_top = default_truncation(math.sqrt(np.max(reach[part])))
+        values[part] = _evolved_amplitudes(
+            params, times[part], x1[part], x3[part], eta[part], n_top) \
             @ coherent_amplitudes(params.alpha, n_top).conj()
     return AutocorrSeries(times=times, values=values)
 

@@ -422,13 +422,42 @@ class TestExitCodes:
         ("simulate", "--tol", "inf", "must be finite, got inf"),
         ("husimi", "--trunc", "-3", "must be at least 1"),
         ("oracle", "--trunc", "0", "must be at least 1"),
-    ], ids=["tol-nan", "tol-inf", "trunc-negative", "trunc-zero"])
+        ("oracle", "--tol", "0", "must be positive"),
+        ("autocorr", "--tol", "-1", "must be positive"),
+        ("husimi", "--tol", "0", "must be positive"),
+    ], ids=["tol-nan", "tol-inf", "trunc-negative", "trunc-zero",
+            "oracle-tol-zero", "autocorr-tol-negative", "husimi-tol-zero"])
     def test_overrides_pass_the_config_checks(self, cfg_file, tmp_path, capsys,
                                               command, flag, value, message):
         # --tol and --trunc are checked like the tolerance and truncation keys
         assert main([command, "--config", str(cfg_file),
                      "--out", str(tmp_path), flag, value]) == 2
         assert f"error[config]: {flag}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--trunc"), ("autocorr", "--trunc"),
+        ("variances", "--tol"), ("variances", "--trunc"),
+        ("spectrum", "--tol"), ("spectrum", "--trunc"),
+        ("timemap", "--tol"), ("timemap", "--trunc"),
+    ])
+    def test_unread_override_is_refused(self, cfg_file, tmp_path, capsys,
+                                        command, flag):
+        # a value no runner reads would change only the header
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--config", str(cfg_file),
+                  "--out", str(tmp_path / "out"), flag, "5"])
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_exit_2(self, cfg_file, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main(["variances", "--config", str(cfg_file),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error[config]: --out: {out}: File exists\n")
+        assert out.read_text() == "kept\n"
 
     def test_overdamped_timemap_names_mass_rate(self, tmp_path, capsys):
         cfg = tmp_path / "od.yaml"

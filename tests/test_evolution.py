@@ -198,6 +198,16 @@ class TestWeiNorman:
         with pytest.raises(ValueError):
             sol.eta_at(2.0)
 
+    def test_window_error_names_the_first_time_outside(self):
+        p = cosine_params(chi=0.25, alpha=1.0)
+        sol = integrate_wei_norman(p, 2.0, tol=1e-10)
+        ts = np.linspace(0.0, 2.0, 5001)
+        ts[1234], ts[4000] = 2.75, -1.0
+        with pytest.raises(ValueError) as err:
+            sol.eta_at(ts)
+        assert str(err.value) == \
+            "t=2.75 outside the solution window [0.0, 2.0]"
+
     def test_off_grid_time_matches_a_grid_containing_it(self):
         # fig. 2 model; t lies between grid points 397 and 398
         p = cosine_params(omega0=1.0, chi=0.25, alpha=3.0)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kerrosc import observables
 from kerrosc.config import load_config
 from kerrosc.driven import DriveSpec
 from kerrosc.evolution import (
@@ -13,6 +14,7 @@ from kerrosc.evolution import (
     integrate_wei_norman,
 )
 from kerrosc.fock import (
+    _BLOCK_CELLS,
     FockState,
     coherent_amplitudes,
     coherent_state,
@@ -38,6 +40,17 @@ from kerrosc.observables import (
 def fig2_params(chi, alpha=3.0):
     return ModelParams(omega0=1.0, chi=chi,
                        drive=DriveSpec.cosine(1.0, 1.0), alpha=alpha)
+
+
+def scenario_solution(name):
+    """The model and Wei-Norman solution of scenarios/<name>.yaml."""
+    scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+    cfg = load_config(str(scenarios / f"{name}.yaml"))
+    p = ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=cfg.drive(),
+                    alpha=cfg.alpha)
+    sol = integrate_wei_norman(p, cfg.t_end, tol=cfg.tolerance,
+                               samples=cfg.samples)
+    return cfg, p, sol
 
 
 class TestAutocorrelation:
@@ -106,17 +119,28 @@ class TestAutocorrelation:
     def test_policy_sized_series_matches_400_levels(self, name):
         # each block sums default_truncation(sqrt(max |alpha eta|)) levels;
         # the terms it leaves out are below rounding of a unit-size sum
-        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
-        cfg = load_config(str(scenarios / f"{name}.yaml"))
-        p = ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=cfg.drive(),
-                        alpha=cfg.alpha)
-        sol = integrate_wei_norman(p, cfg.t_end, tol=cfg.tolerance,
-                                   samples=cfg.samples)
+        _, p, sol = scenario_solution(name)
         start = coherent_amplitudes(p.alpha, 400).conj()
         full = _evolved_amplitudes(p, sol.times, sol.x1, sol.x3, sol.eta,
                                    400) @ start
         np.testing.assert_allclose(autocorrelation_series(p, sol).values,
                                    full, rtol=0, atol=1e-15)
+
+    def test_amplitude_blocks_stay_within_the_cell_budget(self, monkeypatch):
+        # the resonant Kerr-free drive pumps |eta| from 1 to 9.9, so the
+        # last blocks sum 96 levels; each amplitude matrix holds at most
+        # _BLOCK_CELLS cells, and the blocks cover the series once
+        _, p, sol = scenario_solution("autocorr_kerr_free")
+        shapes = []
+
+        def spy(*args):
+            amplitudes = _evolved_amplitudes(*args)
+            shapes.append(amplitudes.shape)
+            return amplitudes
+        monkeypatch.setattr(observables, "_evolved_amplitudes", spy)
+        autocorrelation_series(p, sol)
+        assert sum(rows for rows, _ in shapes) == sol.times.size
+        assert max(rows * levels for rows, levels in shapes) <= _BLOCK_CELLS
 
     def test_series_container_invariants(self):
         p = fig2_params(0.25)
@@ -162,12 +186,7 @@ class TestDetectRevivals:
         # loads it
         from scipy.signal import find_peaks, medfilt
 
-        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
-        cfg = load_config(str(scenarios / f"{name}.yaml"))
-        p = ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=cfg.drive(),
-                        alpha=cfg.alpha)
-        sol = integrate_wei_norman(p, cfg.t_end, tol=cfg.tolerance,
-                                   samples=cfg.samples)
+        cfg, p, sol = scenario_solution(name)
         raw = autocorrelation_series(p, sol).abs_squared
         smooth = _median5(raw)
         np.testing.assert_array_equal(smooth, medfilt(raw, kernel_size=5))
