@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, ScenarioConfig, checked_value, emit_config,
-                     load_config)
+                     load_config, refuse_unread)
 from .driven import displacement_amplitude, energy_level
 from .evolution import (
     ModelParams,
@@ -130,10 +130,6 @@ def _write_csv_body(f, rows: np.ndarray):
 
 
 def _model_params(cfg: ScenarioConfig) -> ModelParams:
-    if cfg.k != 0.0:
-        raise ConfigError(
-            "model.k: time evolution is defined for k = 0 only; nonzero k "
-            "enters just the frozen-time quantities (spectrum subcommand)")
     return ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=cfg.drive(),
                        alpha=cfg.alpha)
 
@@ -210,6 +206,8 @@ def run_variances(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
 
 
 def run_autocorr(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
+    if cfg.samples < 3:  # the config allows 2
+        raise ConfigError("time.samples: revival detection needs at least 3")
     params = _model_params(cfg)
     sol = integrate_wei_norman(params, cfg.t_end, tol=tol, samples=cfg.samples)
     series = autocorrelation_series(params, sol).with_revivals(
@@ -293,16 +291,24 @@ def run_timemap(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
 # Each override flag: the config key it replaces, and that key's type.
 _OVERRIDES = {"--tol": ("tolerance", float), "--trunc": ("truncation", int)}
 
-# Each subcommand's runner and the overrides it reads.  The parser offers
-# just those, so a flag the runner does not read is refused with exit 2.
+# The config keys the Wei-Norman solve reads.
+_DYNAMICS = ("model.omega0", "model.chi", "model.alpha", "drive", "time",
+             "tolerance")
+
+# Each subcommand's runner and the config keys it reads; a section name
+# covers all its keys.  The parser offers an override just where its key is
+# read, and main refuses any other key that a config sets away from its
+# default, so no value can change a header and nothing else.  spectrum
+# reads time.t_end only through the config's tabulated-window check.
 SUBCOMMANDS = {
-    "simulate": (run_simulate, ("--tol",)),
-    "oracle": (run_oracle, ("--tol", "--trunc")),
-    "variances": (run_variances, ()),
-    "autocorr": (run_autocorr, ("--tol",)),
-    "husimi": (run_husimi, ("--tol", "--trunc")),
-    "spectrum": (run_spectrum, ()),
-    "timemap": (run_timemap, ()),
+    "simulate": (run_simulate, _DYNAMICS),
+    "oracle": (run_oracle, (*_DYNAMICS, "truncation")),
+    "variances": (run_variances, ("model.omega0", "variances")),
+    "autocorr": (run_autocorr, (*_DYNAMICS, "revival_threshold")),
+    "husimi": (run_husimi, (*_DYNAMICS, "grid", "husimi", "truncation")),
+    "spectrum": (run_spectrum, ("model.omega0", "model.k", "drive",
+                                "time.t_end", "spectrum")),
+    "timemap": (run_timemap, ("model.omega0", "model.k", "mass", "time")),
 }
 
 
@@ -312,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Driven Kerr-oscillator scenarios: simulation and "
                     "phase-space diagnostics")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (_, flags) in SUBCOMMANDS.items():
+    for name, (_, reads) in SUBCOMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML scenario file")
         p.add_argument("--out", default=".", help="output directory")
-        for flag in flags:
-            key, kind = _OVERRIDES[flag]
-            p.add_argument(flag, dest=key, type=kind,
-                           help=f"override the {key} key")
+        for flag, (key, kind) in _OVERRIDES.items():
+            if key in reads:
+                p.add_argument(flag, dest=key, type=kind,
+                               help=f"override the {key} key")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -329,12 +335,13 @@ def main(argv: list[str] | None = None) -> int:
     written: list[Path] = []
     try:
         cfg = load_config(args.config)
-        run, flags = SUBCOMMANDS[args.subcommand]
+        run = SUBCOMMANDS[args.subcommand][0]
+        refuse_unread(cfg, args.subcommand,
+                      {name: reads for name, (_, reads) in SUBCOMMANDS.items()})
         # an override given passes the checks of the key it replaces
         resolved = {"tolerance": cfg.tolerance, "truncation": cfg.truncation}
-        for flag in flags:
-            key = _OVERRIDES[flag][0]
-            if (value := getattr(args, key)) is not None:
+        for flag, (key, _) in _OVERRIDES.items():
+            if (value := getattr(args, key, None)) is not None:
                 resolved[key] = checked_value(key, value, flag)
         tol, trunc = resolved["tolerance"], resolved["truncation"]
         run_meta = {  # once per run, so every table shares one config text

@@ -4,7 +4,8 @@ The fields of `ScenarioConfig` are the one description of the schema: each
 gives its YAML key's section, reader, default, range check and message.
 Parsing, the allowed keys of each unknown-key error, the defaults and
 `emit_config` derive from them, so emit(parse(text)) round-trips to an
-identical configuration.  Parsing also re-runs the drive and mass checks.
+identical configuration.  Parsing also re-runs the drive and mass checks,
+and `refuse_unread` the default rule of every key a subcommand does not read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .driven import DriveSpec, FrequencySpec
 from .timemap import MassSpec
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "emit_config",
-           "load_config"]
+           "load_config", "refuse_unread"]
 
 # section -> (its spec class, whose KINDS give each kind's keys, {alias:
 # kind}).  A section with aliases lists every spelling when it refuses a kind.
@@ -27,6 +28,24 @@ _SPECS = {"drive": (DriveSpec, {"cos": "cosine"}), "mass": (MassSpec, {})}
 
 class ConfigError(ValueError):
     """Configuration text is malformed, has unknown keys, or fails validation."""
+
+
+class _Loader(yaml.SafeLoader):
+    """yaml.SafeLoader that refuses a key repeated in one mapping, where
+    safe_load keeps the last value without a word.  A merge key (<<) may
+    still be overridden."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if (isinstance(key_node, yaml.ScalarNode)
+                    and key_node.tag != "tag:yaml.org,2002:merge"):
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise ConfigError(f"{key}: repeated key at line "
+                                      f"{key_node.start_mark.line + 1}")
+                seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 def _mapping(node, where: str, allowed: set[str]) -> dict:
@@ -206,17 +225,38 @@ def checked_value(key: str, value, name: str):
     return _value(_SECTIONS[""][key], {key: value}, key, name)
 
 
+def refuse_unread(cfg: ScenarioConfig, subcommand: str,
+                  reads: dict[str, tuple[str, ...]]) -> None:
+    """Raise ConfigError for the first key, in schema order, that
+    `subcommand` does not read and that cfg sets away from the default the
+    schema gives it in this config (drive.frequency: model.omega0, say).
+    `reads` maps every subcommand to its keys; a section covers all its own.
+    """
+    values = vars(cfg)
+    for section, keys in _SECTIONS.items():
+        for label, key in keys.items():
+            name = f"{section}.{label}" if section else label
+            readers = [sub for sub, read in reads.items()
+                       if name in read or section in read]
+            value = values[key["field"]]
+            if subcommand in readers or \
+                    value == _value(key, {}, label, name, values):
+                continue
+            raise ConfigError(f"{name}: {_plain(value)!r} is not read by "
+                              f"{subcommand} (read by: {', '.join(readers)})")
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate YAML scenario text, filling documented defaults.
 
     Raises
     ------
     ConfigError
-        Naming the offending key for unknown keys, type mismatches, and
-        physical-validity failures.
+        Naming the offending key for unknown or repeated keys, type
+        mismatches, and physical-validity failures.
     """
     try:
-        root = yaml.safe_load(text)
+        root = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     optional = [*_SECTIONS][1:-1] + [*_SECTIONS[""]]  # all but model
@@ -268,6 +308,14 @@ def parse_config(text: str) -> ScenarioConfig:
     return cfg
 
 
+def _plain(value):
+    """A field value as YAML writes it: a complex as [re, im], a tuple as a
+    list."""
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return list(value) if isinstance(value, tuple) else value
+
+
 def emit_config(cfg: ScenarioConfig) -> str:
     """Canonical YAML text with every default materialized."""
     doc: dict = {}
@@ -279,11 +327,8 @@ def emit_config(cfg: ScenarioConfig) -> str:
             labels = ("kind", *_SPECS[section][0].KINDS[kind])
         for label in labels:
             value = getattr(cfg, keys[label]["field"])
-            if value is None:  # an automatic grid.half_width or truncation
-                continue
-            if isinstance(value, complex):
-                value = [value.real, value.imag]
-            out[label] = list(value) if isinstance(value, tuple) else value
+            if value is not None:  # None: an automatic half_width or truncation
+                out[label] = _plain(value)
     return yaml.safe_dump(doc, sort_keys=False)
 
 

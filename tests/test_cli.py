@@ -5,14 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
 from kerrosc import cli
 from kerrosc.cli import _model_params, _write_table, main
 from kerrosc.config import emit_config, load_config
 from kerrosc.evolution import evolved_state, integrate_wei_norman
 from kerrosc.fock import _BLOCK_CELLS, coherent_state
-from kerrosc.oracle import fidelity, integrate_exact
+from kerrosc.oracle import _exact_blocks, fidelity, integrate_exact
 
+# The keys of the Wei-Norman solve, which simulate, oracle, autocorr and
+# husimi read.  A subcommand refuses a key it does not read, so each has
+# its config in CONFIGS.
 FAST_MODEL = """
 model:
   omega0: 1.0
@@ -20,9 +24,6 @@ model:
   alpha: 1.0
 drive: cos
 time: {t_end: 3.0, samples: 121}
-grid: {resolution: 61}
-husimi: {times: [0.0, 1.5]}
-variances: {samples: 101}
 tolerance: 1.0e-8
 """
 
@@ -41,12 +42,25 @@ mass: {kind: exponential, m0: 1.0, rate: 0.3}
 time: {t_end: 2.0, samples: 41}
 """
 
-TABULATED_DRIVE_MODEL = """
-model: {omega0: 1.0, chi: 0.1}
+TABULATED_DRIVE = """
 drive: {kind: tabulated, times: [0.0, 1.0, 2.0, 3.0],
         values: [0.0, 0.4, -0.2, 0.3]}
-time: {t_end: 3.0, samples: 61}
 """
+
+TABULATED_DRIVE_MODEL = ("model: {omega0: 1.0, chi: 0.1}" + TABULATED_DRIVE
+                         + "time: {t_end: 3.0, samples: 61}\n")
+
+# Each subcommand's config, of keys it reads.
+CONFIGS = {
+    "simulate": FAST_MODEL,
+    "oracle": FAST_MODEL,
+    "variances": "model: {omega0: 1.0}\nvariances: {samples: 101}\n",
+    "autocorr": FAST_MODEL,
+    "husimi": FAST_MODEL + "grid: {resolution: 61}\n"
+                           "husimi: {times: [0.0, 1.5]}\n",
+    "spectrum": "model: {omega0: 1.0}\ndrive: cos\n",
+    "timemap": TIMEMAP_MODEL,
+}
 
 
 @pytest.fixture()
@@ -54,6 +68,16 @@ def cfg_file(tmp_path):
     path = tmp_path / "scenario.yaml"
     path.write_text(FAST_MODEL)
     return path
+
+
+@pytest.fixture()
+def config_of(tmp_path):
+    """command -> the path of a file holding CONFIGS[command]."""
+    def write(command):
+        path = tmp_path / f"{command}.yaml"
+        path.write_text(CONFIGS[command])
+        return path
+    return write
 
 
 def read_table(path):
@@ -160,9 +184,34 @@ class TestSubcommands:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < _BLOCK_CELLS * 16, peaks
 
-    def test_variances_reproduces_closed_form(self, cfg_file, tmp_path):
+    def test_exact_blocks_memory_does_not_grow_with_samples(self, cfg_file):
+        # the exact route alone, without the Wei-Norman solve: from 500 to
+        # 2,000 samples at 60 levels the traced peak grows by less than one
+        # block of states (holding all 2,000 takes 1.9 MB)
+        cfg = load_config(cfg_file)
+        params = _model_params(cfg)
+        psi0 = coherent_state(params.alpha, 60)
+
+        def take(part, states, norm_drift):
+            pass
+
+        grids = [np.linspace(0.0, cfg.t_end, n) for n in (50, 500, 2000)]
+        _exact_blocks(params, psi0, cfg.t_end, cfg.tolerance, grids[0],
+                      take)  # warm-up
+        peaks = []
+        for times in grids[1:]:
+            tracemalloc.start()
+            try:
+                _exact_blocks(params, psi0, cfg.t_end, cfg.tolerance, times,
+                              take)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < _BLOCK_CELLS * 16, peaks
+
+    def test_variances_reproduces_closed_form(self, config_of, tmp_path):
         out = tmp_path / "out"
-        assert main(["variances", "--config", str(cfg_file),
+        assert main(["variances", "--config", str(config_of("variances")),
                      "--out", str(out)]) == 0
         _, columns, data = read_table(out / "variances.csv")
         assert columns == ["xi", "ratio_q", "ratio_p"]
@@ -179,9 +228,9 @@ class TestSubcommands:
         assert data[0, 4] == pytest.approx(1.0, abs=1e-10)
         assert any("revival_times" in h for h in header)
 
-    def test_husimi_grids_and_sidecars(self, cfg_file, tmp_path):
+    def test_husimi_grids_and_sidecars(self, config_of, tmp_path):
         out = tmp_path / "out"
-        assert main(["husimi", "--config", str(cfg_file),
+        assert main(["husimi", "--config", str(config_of("husimi")),
                      "--out", str(out)]) == 0
         _, columns, data = read_table(out / "husimi_00.csv")
         assert columns == ["x", "y", "Q"]
@@ -191,8 +240,9 @@ class TestSubcommands:
         assert abs(meta["total_mass"] - 1.0) < 1e-3
         assert (out / "husimi_01.csv").exists()
 
-    def test_husimi_emits_the_config_once_per_run(self, cfg_file, tmp_path,
+    def test_husimi_emits_the_config_once_per_run(self, config_of, tmp_path,
                                                   monkeypatch):
+        cfg_file = config_of("husimi")
         calls = []
 
         def counted(cfg):
@@ -213,9 +263,9 @@ class TestSubcommands:
                 (out / f"husimi_{idx:02d}.meta.json").read_text())
             assert sidecar["config"] == text
 
-    def test_spectrum_table(self, cfg_file, tmp_path):
+    def test_spectrum_table(self, config_of, tmp_path):
         out = tmp_path / "out"
-        assert main(["spectrum", "--config", str(cfg_file),
+        assert main(["spectrum", "--config", str(config_of("spectrum")),
                      "--out", str(out)]) == 0
         _, columns, data = read_table(out / "spectrum.csv")
         assert columns == ["n", "t", "E_n", "lambda_t"]
@@ -252,10 +302,10 @@ class TestSubcommands:
         assert data[-1, 1] == pytest.approx((1 - math.exp(-0.3 * t)) / 0.3)
         assert np.abs(data[:, columns.index("det")] - 1.0).max() < 1e-10
 
-    def test_json_format(self, cfg_file, tmp_path):
+    def test_json_format(self, config_of, tmp_path):
         out = tmp_path / "out"
-        assert main(["variances", "--config", str(cfg_file), "--out", str(out),
-                     "--format", "json"]) == 0
+        assert main(["variances", "--config", str(config_of("variances")),
+                     "--out", str(out), "--format", "json"]) == 0
         doc = json.loads((out / "variances.json").read_text())
         assert doc["columns"] == ["xi", "ratio_q", "ratio_p"]
         assert len(doc["rows"]) == 101
@@ -285,9 +335,10 @@ class TestOutputPath:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", list(OWN_KEYS))
     def test_run_keys_then_own_keys_and_paths_in_order(
-            self, cfg_file, tmp_path, capsys, command, fmt):
+            self, config_of, tmp_path, capsys, command, fmt):
         out = tmp_path / "out"
-        assert main([command, "--config", str(cfg_file), "--out", str(out),
+        assert main([command, "--config", str(config_of(command)),
+                     "--out", str(out),
                      "--format", fmt]) == 0
         if command == "husimi":  # each table before its sidecar
             names = [name for idx in range(2) for name in (
@@ -450,10 +501,10 @@ class TestExitCodes:
         assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_out_naming_a_file_exit_2(self, cfg_file, tmp_path, capsys):
+    def test_out_naming_a_file_exit_2(self, config_of, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("kept\n")
-        assert main(["variances", "--config", str(cfg_file),
+        assert main(["variances", "--config", str(config_of("variances")),
                      "--out", str(out)]) == 2
         assert capsys.readouterr() == (
             "", f"error[config]: --out: {out}: File exists\n")
@@ -485,8 +536,9 @@ class TestExitCodes:
     def test_spectrum_past_tabulated_drive_names_spectrum_times(self, tmp_path,
                                                                 capsys):
         cfg = tmp_path / "tab.yaml"
-        cfg.write_text(TABULATED_DRIVE_MODEL
-                       + "spectrum: {times: [0.0, 1.5, 4.0]}\n")
+        cfg.write_text("model: {omega0: 1.0}" + TABULATED_DRIVE
+                       + "time: {t_end: 3.0}\n"
+                       "spectrum: {times: [0.0, 1.5, 4.0]}\n")
         assert main(["spectrum", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -521,3 +573,110 @@ class TestExitCodes:
         assert main([command, "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
         assert f"error[config]: {message}" in capsys.readouterr().err
+
+    def test_autocorr_needs_three_samples(self, tmp_path, capsys):
+        # revival detection needs a point on each side of an extremum
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text(FAST_MODEL.replace("samples: 121", "samples: 2"))
+        assert main(["autocorr", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error[config]: time.samples: revival detection needs at least "
+            "3\n")
+        assert not (tmp_path / "out").exists()
+
+
+def with_key(text: str, key: str, value) -> str:
+    """Config text with the dotted key set to value."""
+    doc = yaml.safe_load(text)
+    section, _, label = key.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[label] = value
+    return yaml.safe_dump(doc)
+
+
+class TestUnreadKeys:
+    # Each subcommand with one key it does not read set away from its
+    # default, then at its default.
+    CASES = [
+        ("simulate", "mass", {"kind": "exponential", "rate": 0.3},
+         {"kind": "constant", "m0": 1.0},
+         "mass.kind: 'exponential' is not read by simulate "
+         "(read by: timemap)"),
+        ("oracle", "mass", {"kind": "exponential", "rate": 0.3},
+         {"kind": "constant", "m0": 1.0},
+         "mass.kind: 'exponential' is not read by oracle (read by: timemap)"),
+        ("autocorr", "mass", {"kind": "exponential", "rate": 0.3},
+         {"kind": "constant", "m0": 1.0},
+         "mass.kind: 'exponential' is not read by autocorr "
+         "(read by: timemap)"),
+        ("autocorr", "truncation", 40, None,
+         "truncation: 40 is not read by autocorr (read by: oracle, husimi)"),
+        ("variances", "tolerance", 5.0, 1e-10,
+         "tolerance: 5.0 is not read by variances "
+         "(read by: simulate, oracle, autocorr, husimi)"),
+        ("spectrum", "time.samples", 61, 2001,
+         "time.samples: 61 is not read by spectrum "
+         "(read by: simulate, oracle, autocorr, husimi, timemap)"),
+        ("timemap", "model.chi", 0.25, 0.0,
+         "model.chi: 0.25 is not read by timemap "
+         "(read by: simulate, oracle, autocorr, husimi)"),
+        ("husimi", "model.k", 0.2, 0.0,
+         "model.k: 0.2 is not read by husimi (read by: spectrum, timemap)"),
+    ]
+    IDS = [f"{case[0]}-{case[1]}" for case in CASES]
+
+    @pytest.mark.parametrize("command, key, value, default, message", CASES,
+                             ids=IDS)
+    def test_unread_key_is_refused(self, tmp_path, capsys, command, key,
+                                   value, default, message):
+        cfg = tmp_path / "foreign.yaml"
+        cfg.write_text(with_key(CONFIGS[command], key, value))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error[config]: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, key, value, default, message", CASES,
+                             ids=IDS)
+    def test_unread_key_at_its_default_is_accepted(
+            self, tmp_path, command, key, value, default, message):
+        cfg = tmp_path / "default.yaml"
+        cfg.write_text(with_key(CONFIGS[command], key, default))
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    def test_a_derived_default_is_taken_in_this_config(self, tmp_path,
+                                                       capsys):
+        # time.t_end defaults to 8 pi / omega0: at omega0 = 2, 4 pi is the
+        # default and 8 pi is not
+        cfg = tmp_path / "t_end.yaml"
+        for t_end, code in ((4.0 * math.pi, 0), (8.0 * math.pi, 2)):
+            cfg.write_text(with_key("model: {omega0: 2.0}\n", "time.t_end",
+                                    t_end))
+            assert main(["variances", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")]) == code
+        assert capsys.readouterr().err.startswith(
+            "error[config]: time.t_end: 25.13")
+
+    @pytest.mark.parametrize("command", list(CONFIGS))
+    def test_echoed_config_runs_again_to_the_same_body(self, tmp_path,
+                                                       config_of, command):
+        # every header echoes every section, each key a subcommand does not
+        # read at its default
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([command, "--config", str(config_of(command)),
+                     "--out", str(first)]) == 0
+        tables = sorted(first.glob("*.csv"))
+        lines = tables[0].read_text().splitlines()
+        start = lines.index("# config:") + 1
+        echoed = tmp_path / "echoed.yaml"
+        echoed.write_text("".join(
+            line[4:] + "\n" for line in lines[start:]
+            if line.startswith("#   ")))
+        assert main([command, "--config", str(echoed),
+                     "--out", str(again)]) == 0
+        for table in tables:
+            body = [line for line in table.read_text().splitlines()
+                    if not line.startswith("#")]
+            assert [line for line in (again / table.name).read_text()
+                    .splitlines() if not line.startswith("#")] == body

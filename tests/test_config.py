@@ -154,6 +154,22 @@ class TestParse:
         with pytest.raises(ConfigError, match="extra"):
             parse_config("model: {omega0: 1.0}\nextra: {}")
 
+    @pytest.mark.parametrize("text, message", [
+        ("model: {omega0: 1.0, omega0: 2.0}", "omega0: repeated key at line 1"),
+        ("model: {omega0: 1.0, 'omega0': 2.0}",
+         "omega0: repeated key at line 1"),
+        ("model:\n  omega0: 1.0\ntime: {t_end: 2.0}\nmodel: {omega0: 2.0}\n",
+         "model: repeated key at line 4"),
+    ], ids=["flow", "quoted", "section"])
+    def test_repeated_key_refused_naming_its_line(self, text, message):
+        # safe_load would keep the last value without a word
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+
+    def test_merge_key_may_be_overridden(self):
+        cfg = parse_config("model: {<<: {omega0: 1.0, chi: 0.1}, omega0: 2.0}")
+        assert (cfg.omega0, cfg.chi) == (2.0, 0.1)
+
     def test_type_mismatch_names_key(self):
         with pytest.raises(ConfigError, match="omega0"):
             parse_config("model: {omega0: fast}")
