@@ -4,7 +4,7 @@ Every integral in the package runs on one Gauss-Legendre panel kernel,
 `_panel_quadrature`.  It budgets tol**2 per unit time, floored at 1e-13 near
 the rounding noise of its estimate, so below tol of about 3.2e-7 a smaller
 tol changes nothing.  The Schrodinger propagators of `kerrosc.oracle` run
-under their own step-doubling controller, which budgets tol per unit step.
+under their own step-size controller, which budgets tol per unit step.
 """
 
 from __future__ import annotations

@@ -3,19 +3,20 @@
 `integrate_exact` propagates the full Kerr-oscillator Hamiltonian
 H(t) = H0 + e(t) V, with H0 the diagonal Kerr energies (the exact
 number-squared term included) and V = (a + a^dagger)/sqrt(2 Omega0), by a
-unitary split-step scheme.  V is diagonalized once; a Strang step is then
-"diagonal phase, dense rotate, diagonal phase", and Yoshida's triple jump
-(Phys. Lett. A 150:262, 1990) composes three of them to fourth order.  Each
-attempted step, the full step and its two half steps, is one `_exact_pair`
-call on buffers made once per run.  It shares no code with the approximate
+split-step scheme.  V is diagonalized once; a Strang step is then
+"diagonal phase, dense rotate, diagonal phase".  Each attempted step runs
+it over 1, 2, 3 and 4 substeps in lockstep and extrapolates in h**2
+(Blanes, Casas & Ros, Celest. Mech. Dyn. Astron. 75:149, 1999) to order 8,
+with an order-6 error estimate, in one `_extrapolated_step` call on
+buffers made once per run.  It shares no code with the approximate
 branches, so it stays an independent route to the answer.
 `integrate_schrodinger`, the generic dense-matrix variant used to validate
 the time-reparametrization theorem, takes unitary 4th-order commutator-free
 Magnus steps (Blanes & Moan, Appl. Numer. Math. 56:1519, 2006) through
 `eigh` on the decoupled blocks of H(t), in real arithmetic where H(t) is
-real.  Both run under one step-doubling controller, `_step_doubling`, which
-hands the sample states over in blocks of rows, and read tol as the same
-error budget per unit step.
+real, and estimates their error by step doubling.  Both run under one
+step-size controller, `_step_control`, which hands the sample states over
+in blocks of rows, and read tol as the same error budget per unit step.
 """
 
 from __future__ import annotations
@@ -46,30 +47,53 @@ logger = logging.getLogger(__name__)
 _NORM_DRIFT_LIMIT = 1e-8
 _HERMITIAN_RTOL = 1e-12  # |H - H^dagger| / |H| above rounding
 
-# Step-size controller of `_step_doubling`.
+# Step-size controller of `_step_control`.
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-# The estimate of a one-ulp difference between unit states: a budget tol * h
-# under it can only pass an estimate of exactly 0, which says nothing.
-_ESTIMATE_FLOOR = float(np.finfo(float).eps) / 15.0
 
-# Yoshida triple jump: substeps w1, w0, w1 of the step, midpoints in _MIDS.
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_W0 = 1.0 - 2.0 * _W1
-_WEIGHTS = np.array([_W1, _W0, _W1])
-_MIDS = np.array([0.5 * _W1, _W1 + 0.5 * _W0, _W1 + _W0 + 0.5 * _W1])
-# The 9 substeps of `_exact_pair`, as fractions of the step h: the full step
-# and the first half step interleaved (columns 2k, 2k + 1 are substep k of
-# each), then the second half step.  Their midpoints, and their lengths.
-_PAIR_MIDS = np.concatenate([np.column_stack([_MIDS, 0.5 * _MIDS]).ravel(),
-                             0.5 + 0.5 * _MIDS])
-_PAIR_WEIGHTS = np.concatenate([np.column_stack([_WEIGHTS,
-                                                 0.5 * _WEIGHTS]).ravel(),
-                                0.5 * _WEIGHTS])
-# Energy phases of the half step h / 2: outer, (w1 / 2)(h / 2), and inner,
-# ((w1 + w0) / 2)(h / 2), as multiples of -i h E.
-_HALF_PHASES = -0.25j * np.array([_W1, _W1 + _W0])
+# The extrapolated step runs column j of its (n, 4) state as _SUBSTEPS[j]
+# Strang substeps of h / _SUBSTEPS[j], most substeps first, so the columns
+# still running at stage s are the first 4 - s.
+_SUBSTEPS = (4, 3, 2, 1)
+_STAGES = [_SUBSTEPS[:4 - s] for s in range(4)]
+# The 10 rotations, stage after stage: each substep's midpoint and length as
+# fractions of h.
+_ROT_MIDS = np.array([(s + 0.5) / m for s, running in enumerate(_STAGES)
+                      for m in running])
+_ROT_WEIGHTS = np.array([1.0 / m for running in _STAGES for m in running])
+# The energy phases, as multiples of -i h E: each column's opening half
+# substep, then after each stage's rotations the two merged half substeps
+# of a column still running, or the closing half substep of the column that
+# ends there.  The 14 phases take 5 distinct fractions, so one `exp` of
+# those fills the table.
+_PHASE_FRACTIONS, _PHASE_INDEX = np.unique(
+    [0.5 / m for m in _SUBSTEPS] + [(1.0 if m > s + 1 else 0.5) / m
+                                    for s, running in enumerate(_STAGES)
+                                    for m in running], return_inverse=True)
+
+
+def _extrapolation_weights(substeps) -> np.ndarray:
+    """Weights of the values over these substep counts in their polynomial
+    extrapolation in h**2 to h = 0: the last Aitken-Neville entry."""
+    x = 1.0 / np.asarray(substeps, dtype=float) ** 2
+    return np.array([np.prod([xi / (xi - xj) for xi in x if xi != xj])
+                     for xj in x])
+
+
+# The columns' weights in T44, of order 8, and in T44 - T43, the estimate of
+# the error of T43, of order 6 (T43 leaves out the single substep); complex,
+# so that the product with the state casts nothing.
+_T44, _T43 = (_extrapolation_weights(_SUBSTEPS[:k]) for k in (4, 3))
+_EXTRAPOLATION = np.column_stack(
+    [_T44, _T44 - np.append(_T43, 0.0)]).astype(np.complex128)
+# Rounding floors of the two steps' error estimates: the estimate of a
+# one-ulp difference between unit states (for the extrapolated step, in the
+# column it weighs most).  A budget tol * h under the floor can only pass an
+# estimate of exactly 0, which says nothing.
+_EXTRAPOLATION_FLOOR = float(np.finfo(float).eps
+                             * np.abs(_EXTRAPOLATION[:, 1]).max())
+_CF4_FLOOR = float(np.finfo(float).eps) / 15.0
 
 # Commutator-free Magnus CF4: Gauss nodes, and the weights of H at those
 # nodes in the first and the second exponential.
@@ -113,45 +137,52 @@ def _diagonal_energies(params: ModelParams, n_trunc: int) -> np.ndarray:
     return params.omega0 * (n + 0.5) + params.chi * n.astype(float) ** 2
 
 
-def _pair_workspace(n: int) -> tuple:
-    """`_exact_pair`'s buffers on n levels, and their views per rotation."""
-    rot, phases, x, y, y1 = (np.empty(shape, np.complex128) for shape in
-                             ((n, 9), (2, n, 2), (n, 2), (n, 2), (n, 1)))
-    # full[:, j] and half[:, j]: the full and half step's outer (j = 0) and
-    # inner (j = 1) energy phase, paired as x's columns in outer and inner.
-    full, half = phases
-    outer, inner = phases.T
-    steps = [(x, y, rot[:, 2 * k:2 * k + 2], phase) for k, phase in
-             enumerate((inner, inner, full[:, :1]))]
-    steps += [(x[:, 1:], y1, rot[:, 6 + k:7 + k], phase) for k, phase in
-              enumerate((half[:, 1:], half[:, 1:], half[:, :1]))]
-    return rot, full, half, outer, x, [
-        (s, s.view(np.float64), b, b.view(np.float64), r, phase)
-        for s, b, r, phase in steps]
+def _extrapolation_workspace(n: int) -> tuple:
+    """`_extrapolated_step`'s buffers on n levels, and their views per
+    stage: the running columns of the state, the stage's own rotated copy,
+    and its rotation and phase tables."""
+    rot, fractions, phases, x = (
+        np.empty(shape, np.complex128) for shape in
+        ((n, _ROT_MIDS.size), (n, _PHASE_FRACTIONS.size),
+         (n, _PHASE_INDEX.size), (n, 4)))
+    stages, first = [], 0
+    for k in map(len, _STAGES):
+        s, b = x[:, :k], np.empty((n, k), np.complex128)
+        stages.append((s, s.view(np.float64), b, b.view(np.float64),
+                       rot[:, first:first + k],
+                       phases[:, 4 + first:4 + first + k]))
+        first += k
+    return rot, fractions, phases, x, stages
 
 
-def _exact_pair(psi, t, h, drive, energies, d, u, work=None):
-    """The 4th-order step of length h from psi at t, and its two half steps.
+def _extrapolated_step(psi, t, h, drive, energies, d, u, work=None):
+    """The extrapolated step of length h from psi at t: (kept, estimate).
 
-    Each step is Yoshida's triple jump of Strang substeps
-    exp(-i H0 tau/2) U exp(-i tau e(t_mid) D) U^T exp(-i H0 tau/2), with the
-    diagonal half-phases of neighbouring substeps merged, those at the
-    junction of the two half steps too.  The full step and the first half
-    step run in lockstep as the two columns of one state, so each rotation
-    is one real product U^T @ x.view(float) on both; one drive call and two
-    `exp` calls serve all 9 substeps in work.  Returns fresh (full, halves)."""
-    rot, full, half, outer, x, steps = work or _pair_workspace(d.size)
-    e = drive(t + h * _PAIR_MIDS)
-    np.exp(np.multiply.outer(d, -1j * h * _PAIR_WEIGHTS * e, out=rot), out=rot)
-    np.exp(np.multiply.outer(energies, h * _HALF_PHASES, out=half), out=half)
-    np.multiply(half, half, out=full)
-    np.multiply(psi[:, None], outer, out=x)
-    for s, s_float, b, b_float, r, phase in steps:
+    The Strang substep exp(-i H0 tau/2) U exp(-i tau e(t_mid) D) U^T
+    exp(-i H0 tau/2) runs as chains of 1, 2, 3 and 4 substeps of h / 1 ..
+    h / 4, neighbouring half phases merged, in lockstep as the columns of
+    one state: each rotation is one real product U^T @ x.view(float) on the
+    columns still running.  One product with `_EXTRAPOLATION` gives T44,
+    kept renormalized when finite (it is not unitary), and T44 - T43, whose
+    norm is the estimate.  Returns a fresh kept state."""
+    rot, fractions, phases, x, stages = work or _extrapolation_workspace(
+        d.size)
+    e = drive(t + h * _ROT_MIDS)
+    np.exp(np.multiply.outer(d, -1j * h * _ROT_WEIGHTS * e, out=rot), out=rot)
+    np.exp(np.multiply.outer(energies, -1j * h * _PHASE_FRACTIONS,
+                             out=fractions), out=fractions)
+    fractions.take(_PHASE_INDEX, axis=1, out=phases)
+    np.multiply(psi[:, None], phases[:, :4], out=x)
+    for s, s_float, b, b_float, r, phase in stages:
         np.matmul(u.T, s_float, out=b_float)
         b *= r
         np.matmul(u, b_float, out=s_float)
         s *= phase
-    return x[:, 0].copy(), x[:, 1].copy()
+    kept, error = _EXTRAPOLATION.T @ x.T
+    norm = math.sqrt(np.vdot(kept, kept).real)
+    if math.isfinite(norm):  # a non-finite state is the controller's to refuse
+        kept /= norm
+    return kept, math.sqrt(np.vdot(error, error).real)
 
 
 def _wall_time(start: float, attempted: int) -> str:
@@ -161,8 +192,8 @@ def _wall_time(start: float, attempted: int) -> str:
     return f"{wall:.3f} s wall, {per_step:.1f} us per attempted step"
 
 
-def _step_doubling(pair, psi0, t_end: float, times: np.ndarray, tol: float,
-                   take) -> tuple[int, int]:
+def _step_control(step, order: int, floor: float, psi0, t_end: float,
+                  times: np.ndarray, tol: float, take) -> tuple[int, int]:
     """Step from psi0 at t = 0 through the sorted sample times; returns the
     accepted and rejected step counts.
 
@@ -170,16 +201,17 @@ def _step_doubling(pair, psi0, t_end: float, times: np.ndarray, tol: float,
     block fills, in a fresh (rows, levels) array, so a run holds one block
     of samples, not all of them.
 
-    pair(psi, t, h) returns (psi_h, psi_(h/2, h/2)): one step of length h of
-    a 4th-order one-step map, and two steps of h/2.  A step's error estimate
-    is |psi_(h/2, h/2) - psi_h| / 15 and the two half steps are kept; it is
-    accepted when the estimate is at most tol * h, with h the controller's
-    step.  The rest of each sample interval is split into ceil(rest / h)
-    equal steps, so the run lands on every sample exactly.  StepSizeError
-    when h falls under 1e-14 of the span, or the budget tol * h under
-    `_ESTIMATE_FLOOR`: where the steps commute the estimate is rounding
-    alone, exactly 0 as often as not, and h would never shrink to the floor.
-    OracleError when a step's estimate is not finite: the state is lost.
+    step(psi, t, h) returns (kept, estimate): the state after a step of
+    length h, and an estimate of the error of a one-step map of the given
+    order, whose rounding floor is floor.  A step is accepted when its
+    estimate is at most tol * h, with h the controller's step, and the next
+    h follows from the estimate's local error ~ h**(order + 1).  The rest of
+    each sample interval is split into ceil(rest / h) equal steps, so the
+    run lands on every sample exactly.  StepSizeError when h falls under
+    1e-14 of the span, or the budget tol * h under floor: where the steps
+    commute the estimate is rounding alone, exactly 0 as often as not, and
+    h would never shrink to the floor.  OracleError when a step's estimate
+    is not finite: the state is lost.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -190,7 +222,7 @@ def _step_doubling(pair, psi0, t_end: float, times: np.ndarray, tol: float,
         raise ValueError("sample times must be sorted within [0, t_end]")
     span = float(times[-1]) if times.size else 0.0
     h = span * 1e-3
-    h_min = max(span * 1e-14, _ESTIMATE_FLOOR / tol)
+    h_min = max(span * 1e-14, floor / tol)
     psi = np.array(psi0, dtype=np.complex128)
     t = 0.0
     accepted = rejected = 0
@@ -201,26 +233,25 @@ def _step_doubling(pair, psi0, t_end: float, times: np.ndarray, tol: float,
                 if h < h_min:
                     raise StepSizeError(f"step size underflow at t={t:.6g}", t)
                 pieces = math.ceil((target - t) / h)
-                step = (target - t) / pieces
-                full, halves = pair(psi, t, step)
-                err = np.linalg.norm(halves - full) / 15.0
+                length = (target - t) / pieces
+                kept, err = step(psi, t, length)
                 if not math.isfinite(err):  # a NaN or inf drive value, say
                     raise OracleError(f"non-finite state in the step from "
-                                      f"t={t:.6g} to t={t + step:.6g}")
+                                      f"t={t:.6g} to t={t + length:.6g}")
                 ok = err <= tol * h
                 if ok:
-                    psi = halves
-                    t = target if pieces == 1 else t + step
+                    psi = kept
+                    t = target if pieces == 1 else t + length
                     accepted += 1
                 else:
                     rejected += 1
                 # A step cut short to land on a sample says nothing about
                 # how long a step could be; a sliver of rounding size would
                 # collapse h.
-                if not (ok and pieces == 1 and step < h):
-                    factor = (_MAX_FACTOR if err == 0.0 else
-                              _SAFETY * (tol * step / err) ** 0.25)
-                    h = step * min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
+                if not (ok and pieces == 1 and length < h):
+                    factor = (_MAX_FACTOR if err == 0.0 else _SAFETY
+                              * (tol * length / err) ** (1.0 / order))
+                    h = length * min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
             block[row] = psi
         take(part, block)
     return accepted, rejected
@@ -253,14 +284,16 @@ def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
         / math.sqrt(2.0 * params.omega0)
     d, u = np.linalg.eigh(coupling)
 
-    pair = partial(_exact_pair, drive=params.drive, energies=energies, d=d,
-                   u=u, work=_pair_workspace(n_trunc))
+    step = partial(_extrapolated_step, drive=params.drive, energies=energies,
+                   d=d, u=u, work=_extrapolation_workspace(n_trunc))
     peak_drift = peak_top = 0.0
 
     def guarded(part, states):
         nonlocal peak_drift, peak_top
-        # Nearly vacuous under a unitary scheme: the drift stays at the
-        # rounding level, so this only catches a non-unitary U or a bug.
+        # Nearly vacuous: the step renormalizes each kept state, so the
+        # drift stays at the rounding level.  This only catches a step that
+        # kept an unnormalized state (check 8's run at tol 4e-4 would drift
+        # 9.0e-5 without the renormalization) or a bug.
         drift = np.abs(np.linalg.norm(states, axis=1) - 1.0)
         top = np.abs(states[:, -1]) ** 2
         peak_drift = max(peak_drift, float(drift.max()))
@@ -278,8 +311,9 @@ def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
                 f"(top-level population {top[k]:.3e})")
         take(part, states, drift)
 
-    accepted, rejected = _step_doubling(pair, psi0.amplitudes, t_end, times,
-                                        tol, guarded)
+    accepted, rejected = _step_control(step, 6, _EXTRAPOLATION_FLOOR,
+                                       psi0.amplitudes, t_end, times, tol,
+                                       guarded)
     logger.debug("integrate_exact: %d accepted, %d rejected steps, budget "
                  "%g per unit step, peak norm drift %.3e, peak boundary "
                  "population %.3e, %s", accepted, rejected, tol, peak_drift,
@@ -292,11 +326,11 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
                     sample_times: np.ndarray | None = None) -> OracleRun:
     """Direct time-ordered evolution of the full Kerr-oscillator Hamiltonian.
 
-    A unitary 4th-order split-step propagator (Strang steps composed by
-    Yoshida's triple jump) with step doubling: the error estimate of a step
-    is |psi_(h/2, h/2) - psi_h| / 15 and the two half steps are kept.  The
-    full step and the two half steps come from one `_exact_pair` call.  The
-    final-state deficit 1 - F therefore scales as tol**2.
+    An extrapolated split-step propagator: each step runs Strang substeps
+    over 1, 2, 3 and 4 substeps and keeps their Aitken-Neville
+    extrapolation in h**2, of order 8, renormalized; the distance to the
+    order-6 extrapolation over 2, 3 and 4 substeps is the error estimate
+    that sets the step.  One `_extrapolated_step` call computes both.
 
     Parameters
     ----------
@@ -310,8 +344,10 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
         Error budget per unit step: a step is accepted when its estimate is
         at most tol * h, with h the controller's step.  A step cut short to
         land on a sample keeps that budget; its truncation error per unit
-        step still falls as its length**4, so only the rounding floor of a
-        very short step gains room.
+        step still falls as its length**6, so only the rounding floor of a
+        very short step gains room.  The kept state is two orders more
+        accurate than the estimate: halving tol divides the final-state
+        deficit 1 - F of check 8 by about 27.
     sample_times : ndarray, optional
         Sorted output times in [0, t_end]; defaults to 1001 equidistant
         samples.  The propagator lands on each one exactly, splitting the
@@ -326,7 +362,7 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
         value; the message names the step).
     StepSizeError
         If the budget tol * h falls under the rounding floor of the error
-        estimate (machine epsilon / 15, about 1.5e-17), or the step
+        estimate (about 0.29 machine epsilon, 6.4e-17), or the step
         collapses below 1e-14 of the span.
     """
     if sample_times is None:
@@ -436,9 +472,12 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
                 psi[idx] = (v @ (np.exp(-1j * h * w)[..., None] * x))[..., 0]
         return psi
 
-    def pair(psi, t, h):
+    def doubled(psi, t, h):
+        """CF4's two half steps, and the step-doubling estimate."""
         half = 0.5 * h
-        return cf4(psi, t, h), cf4(cf4(psi, t, half), t + half, half)
+        full = cf4(psi, t, h)
+        halves = cf4(cf4(psi, t, half), t + half, half)
+        return halves, np.linalg.norm(halves - full) / 15.0
 
     times = np.asarray(sample_times, dtype=float)
     states = np.empty((times.size, n), dtype=np.complex128)
@@ -446,8 +485,9 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
     def keep(part, block):
         states[part] = block
 
-    accepted, rejected = _step_doubling(pair, psi0.amplitudes, float(t_end),
-                                        times, tol, keep)
+    accepted, rejected = _step_control(doubled, 4, _CF4_FLOOR,
+                                       psi0.amplitudes, float(t_end), times,
+                                       tol, keep)
     partition = " and ".join(
         f"{len(g)} block{'s' * (len(g) > 1)} of {g.shape[1]} "
         f"level{'s' * (g.shape[1] > 1)}" for g in groups)

@@ -23,8 +23,8 @@ from kerrosc.oracle import (
     OracleError,
     OracleRun,
     _diagonal_energies,
-    _exact_pair,
-    _pair_workspace,
+    _extrapolated_step,
+    _extrapolation_workspace,
     fidelity,
     integrate_exact,
     integrate_schrodinger,
@@ -182,15 +182,16 @@ class TestIntegrateExact:
         assert per_step * attempted == pytest.approx(1e6 * wall, abs=1e3)
 
     def test_step_counts_pinned_in_the_fig2_regime(self):
-        # a quarter of the fig. 2 run (chi = 0.25, alpha = 3, 66 levels, the
-        # same sample density); rounding in the step kernel must not move one
+        # a quarter of the fig. 2 run (chi = 0.25, alpha = 3, 66 levels) with
+        # the end as its only sample, so the controller sets every step, not
+        # the sample grid; rounding in the step kernel must not move one
         # accept/reject decision, so the counts are exact
         p = ModelParams(omega0=1.0, chi=0.25,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
         t_end = 2 * math.pi
         run = integrate_exact(p, coherent_state(3.0, 66), t_end, tol=1e-10,
-                              sample_times=np.linspace(0.0, t_end, 501))
-        assert (run.accepted_steps, run.rejected_steps) == (1853, 1)
+                              sample_times=np.array([t_end]))
+        assert (run.accepted_steps, run.rejected_steps) == (203, 0)
 
     def test_frozen_fields_leave_the_callers_arrays_writeable(self):
         p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
@@ -217,9 +218,12 @@ class TestIntegrateExact:
 
 
 class TestExactPair:
+    """The oracle's step, `_extrapolated_step`, and the (kept, estimate)
+    pair it returns."""
+
     @staticmethod
-    def triple_jump(psi, t, h, p, n):
-        """Yoshida's triple jump of Strang substeps, each factor a dense
+    def strang_chain(psi, t, h, m, p, n):
+        """m Strang substeps of h / m from psi at t, each factor a dense
         scipy expm of its own generator."""
         from scipy.linalg import expm
         levels = np.arange(n)
@@ -227,57 +231,76 @@ class TestExactPair:
         ladder = np.sqrt(np.arange(1, n))
         v = (np.diag(ladder, 1) + np.diag(ladder, -1)) \
             / math.sqrt(2.0 * p.omega0)
-        w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-        start = 0.0
-        for w in (w1, 1.0 - 2.0 * w1, w1):
-            tau, mid = w * h, t + (start + 0.5 * w) * h
-            phase = expm(-0.5j * tau * h0)
-            psi = phase @ (expm(-1j * tau * p.drive(mid) * v) @ (phase @ psi))
-            start += w
+        tau = h / m
+        phase = expm(-0.5j * tau * h0)
+        for j in range(m):
+            kick = expm(-1j * tau * p.drive(t + (j + 0.5) * tau) * v)
+            psi = phase @ (kick @ (phase @ psi))
         return psi
+
+    @staticmethod
+    def neville(chains):
+        """T44 and T43 of the Aitken-Neville tableau in h**2 over the
+        chains of 1, 2, 3 and 4 substeps."""
+        t = list(chains)
+        for k in (1, 2, 3):
+            t43 = t[3]  # T43 as the last level starts
+            for j in range(3, k - 1, -1):  # downwards: t[j - 1] is still old
+                t[j] = t[j] + (t[j] - t[j - 1]) / (((j + 1) / (j + 1 - k))
+                                                   ** 2 - 1.0)
+        return t[3], t43
+
+    @staticmethod
+    def model(chi, n):
+        """The fig. 2 drive at this Kerr constant on n levels: the params
+        and `_extrapolated_step`'s arguments after (psi, t, h)."""
+        p = ModelParams(omega0=1.0, chi=chi,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
+        ladder = np.sqrt(np.arange(1, n))
+        d, u = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
+        return p, (p.drive, _diagonal_energies(p, n), d / math.sqrt(2.0), u)
 
     @pytest.mark.parametrize("chi, n", [(0.25, 66), (0.0, 203)],
                              ids=["fig2-66", "kerr-free-203"])
-    def test_matches_three_dense_triple_jumps(self, chi, n):
-        p = ModelParams(omega0=1.0, chi=chi,
-                        drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
+    def test_matches_four_dense_strang_chains(self, chi, n):
+        p, args = self.model(chi, n)
         rng = np.random.default_rng(n)
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi /= np.linalg.norm(psi)
         t, h = 1.3, 0.02
-        ladder = np.sqrt(np.arange(1, n))
-        d, u = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
-        full, halves = _exact_pair(psi, t, h, p.drive,
-                                   _diagonal_energies(p, n),
-                                   d / math.sqrt(2.0), u)
-        expected = self.triple_jump(
-            self.triple_jump(psi, t, 0.5 * h, p, n), t + 0.5 * h, 0.5 * h,
-            p, n)
-        assert np.abs(full - self.triple_jump(psi, t, h, p, n)).max() < 1e-13
-        assert np.abs(halves - expected).max() < 1e-13
+        t44, t43 = self.neville(
+            [self.strang_chain(psi, t, h, m, p, n) for m in (1, 2, 3, 4)])
+        kept, estimate = _extrapolated_step(psi, t, h, *args)
+        assert np.abs(kept - t44 / np.linalg.norm(t44)).max() < 1e-13
+        assert abs(estimate - np.linalg.norm(t44 - t43)) < 1e-13
+
+    def test_estimate_is_of_sixth_order(self):
+        # the error of the order-6 T43 over one step goes as h**7: halving
+        # h divides the estimate by about 2**7 (2**7.07 measured), summed
+        # over starting times through one drive period
+        _, args = self.model(0.25, 66)
+        psi = coherent_state(3.0, 66).amplitudes
+        starts = np.linspace(0.0, 2 * math.pi, 9)[:-1]
+        sums = [sum(_extrapolated_step(psi, t, h, *args)[1] for t in starts)
+                for h in (0.08, 0.04)]
+        assert 6.5 <= math.log2(sums[0] / sums[1]) <= 7.5
 
     def test_returns_fresh_arrays_from_a_reused_workspace(self):
-        p = ModelParams(omega0=1.0, chi=0.25,
-                        drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
-        n = 30
-        psi = coherent_state(1.0, n).amplitudes
-        ladder = np.sqrt(np.arange(1, n))
-        d, u = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
-        args = (p.drive, _diagonal_energies(p, n), d, u)
-        work = _pair_workspace(n)
-        first = _exact_pair(psi, 0.5, 0.01, *args, work)
-        kept = [a.copy() for a in first]
-        second = _exact_pair(first[1], 0.51, 0.01, *args, work)
-        arrays = [psi, *first, *second]
-        for i, a in enumerate(arrays):
-            for b in arrays[i + 1:]:
-                assert not np.shares_memory(a, b)
-        # the second call leaves the first call's results as they were, and
-        # a reused workspace gives what a fresh one gives
-        for a, b in zip(first, kept):
-            assert np.array_equal(a, b)
-        for a, b in zip(second, _exact_pair(kept[1], 0.51, 0.01, *args)):
-            assert np.array_equal(a, b)
+        _, args = self.model(0.25, 30)
+        psi = coherent_state(1.0, 30).amplitudes
+        work = _extrapolation_workspace(30)
+        first = _extrapolated_step(psi, 0.5, 0.01, *args, work)
+        kept = first[0].copy()
+        second = _extrapolated_step(first[0], 0.51, 0.01, *args, work)
+        assert not np.shares_memory(psi, first[0])
+        assert not np.shares_memory(psi, second[0])
+        assert not np.shares_memory(first[0], second[0])
+        # the second call leaves the first call's state as it was, and a
+        # reused workspace gives what a fresh one gives
+        assert np.array_equal(first[0], kept)
+        fresh = _extrapolated_step(kept, 0.51, 0.01, *args)
+        assert np.array_equal(second[0], fresh[0])
+        assert second[1] == fresh[1]
 
     def test_runs_at_other_truncations_leave_no_trace(self):
         # each run fills its own workspace: interleaved runs at two
