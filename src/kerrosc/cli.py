@@ -159,7 +159,7 @@ def _auto_truncation(cfg: ScenarioConfig, sol) -> int:
 
 def run_simulate(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     params = _model_params(cfg)
-    sol = integrate_wei_norman(params, cfg.t_end, tol=tol, samples=cfg.samples)
+    sol = integrate_wei_norman(params, cfg.t_end, samples=cfg.samples)
     write("simulate", *_wei_norman_rows(cfg, sol), {})
 
 
@@ -168,7 +168,7 @@ def run_oracle(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     at each sample: each block of exact states is reduced to those two
     columns as it lands, so the run holds one block of states, not all."""
     params = _model_params(cfg)
-    sol = integrate_wei_norman(params, cfg.t_end, tol=tol, samples=cfg.samples)
+    sol = integrate_wei_norman(params, cfg.t_end, samples=cfg.samples)
     n_trunc = trunc if trunc is not None else _auto_truncation(cfg, sol)
     times, eta = sol.times, sol.eta
     drift, fid = np.empty(times.size), np.empty(times.size)
@@ -209,7 +209,7 @@ def run_autocorr(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     if cfg.samples < 3:  # the config allows 2
         raise ConfigError("time.samples: revival detection needs at least 3")
     params = _model_params(cfg)
-    sol = integrate_wei_norman(params, cfg.t_end, tol=tol, samples=cfg.samples)
+    sol = integrate_wei_norman(params, cfg.t_end, samples=cfg.samples)
     series = autocorrelation_series(params, sol).with_revivals(
         cfg.revival_threshold)
     rows = np.column_stack([
@@ -243,8 +243,7 @@ def run_husimi(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
         params.drive(t_max)
     except ValueError as exc:  # past a tabulated drive's window
         raise ConfigError(f"husimi.times: {exc}") from exc
-    sol = integrate_wei_norman(params, max(t_max, 1e-12), tol=tol,
-                               samples=cfg.samples)
+    sol = integrate_wei_norman(params, max(t_max, 1e-12), samples=cfg.samples)
     n_trunc = trunc if trunc is not None else _auto_truncation(cfg, sol)
     for idx, tau in enumerate(cfg.husimi_times):
         t = tau / cfg.omega0
@@ -291,18 +290,17 @@ def run_timemap(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
 # Each override flag: the config key it replaces, and that key's type.
 _OVERRIDES = {"--tol": ("tolerance", float), "--trunc": ("truncation", int)}
 
-# The config keys the Wei-Norman solve reads.
-_DYNAMICS = ("model.omega0", "model.chi", "model.alpha", "drive", "time",
-             "tolerance")
+# The config keys the Wei-Norman solve reads; it runs at the kernel's floor.
+_DYNAMICS = ("model.omega0", "model.chi", "model.alpha", "drive", "time")
 
 # Each subcommand's runner and the config keys it reads; a section name
 # covers all its keys.  The parser offers an override just where its key is
 # read, and main refuses any other key that a config sets away from its
-# default, so no value can change a header and nothing else.  spectrum
-# reads time.t_end only through the config's tabulated-window check.
+# default, so no value can change a header and nothing else.  husimi and
+# spectrum read time.t_end only through the config's tabulated-window check.
 SUBCOMMANDS = {
     "simulate": (run_simulate, _DYNAMICS),
-    "oracle": (run_oracle, (*_DYNAMICS, "truncation")),
+    "oracle": (run_oracle, (*_DYNAMICS, "tolerance", "truncation")),
     "variances": (run_variances, ("model.omega0", "variances")),
     "autocorr": (run_autocorr, (*_DYNAMICS, "revival_threshold")),
     "husimi": (run_husimi, (*_DYNAMICS, "grid", "husimi", "truncation")),

@@ -160,8 +160,7 @@ class WeiNormanSolution:
     eta(t) = X2(t) + alpha is the displaced coherent amplitude of the evolved
     state.  The `*_at` methods take a time or an array of times: stored values
     on the grid, else one panel set from the grid point below, refined to the
-    1e-13 budget floor, at least as tight as any solve, so no value depends on
-    the grid.
+    solve's own budget, so no value depends on the grid.
     """
 
     params: ModelParams
@@ -190,8 +189,7 @@ class WeiNormanSolution:
         off = self.times[k] != ts
         if off.any():
             g0 = 1j * x[2, off]  # G = i X3
-            d_g, d_q = _increments(self.params, self.times[k[off]], ts[off],
-                                   0.0)  # tol 0: the budget floor
+            d_g, d_q = _increments(self.params, self.times[k[off]], ts[off])
             x[:, off] = _coefficients(
                 g0 + d_g, x[0, off].imag - (g0.conj() * d_g + d_q).imag)
         return tuple(v.reshape(np.shape(t))[()] for v in x)
@@ -215,13 +213,13 @@ def _default_samples(params: ModelParams, t_end: float) -> int:
     return min(max(n, 1001), 200_001)
 
 
-def _increments(params: ModelParams, starts, ends, tol: float) -> np.ndarray:
+def _increments(params: ModelParams, starts, ends) -> np.ndarray:
     """Integrals of g and of g conj(G - G(start)) over each [start, end]."""
     def integrands(t, running):
         g = drive_coefficient(params, t)
         return g, g * running(g).conj()
 
-    return _panel_quadrature(integrands, starts, ends, tol)
+    return _panel_quadrature(integrands, starts, ends, 0.0)  # the floor
 
 
 def _coefficients(big_g, im_x1) -> np.ndarray:
@@ -231,24 +229,19 @@ def _coefficients(big_g, im_x1) -> np.ndarray:
 
 
 def integrate_wei_norman(params: ModelParams, t_end: float,
-                         tol: float = 1e-10,
                          samples: int | None = None) -> WeiNormanSolution:
     """Solve the factorization ODEs dX1 = dX3 X2, dX2 = -i conj(g), dX3 = -i g.
 
     They are integrals: with G(t) that of g from 0 to t, X3 = -i G,
     X2 = -i conj(G), Re X1 = -|G|^2 / 2 exactly and Im X1 = -Im of the
-    integral of g conj(G), both on Gauss-Legendre panels.
+    integral of g conj(G), both on Gauss-Legendre panels at the budget floor
+    of `kerrosc.integrators`: 1e-13 per unit time, or relative where larger.
 
     Parameters
     ----------
     params : ModelParams
     t_end : float
         End of the integration window (starts at 0, all X vanish there).
-    tol : float
-        Error budget of the Gauss-Legendre panel kernel of
-        `kerrosc.integrators`: the panels of an output interval double until
-        its integrals move by at most max(tol**2, 1e-13) per unit time, or
-        relative to their size where that is larger.
     samples : int, optional
         Number of equidistant output samples; defaults to 2000 per drive
         period, clipped to [1001, 200001].
@@ -261,14 +254,12 @@ def integrate_wei_norman(params: ModelParams, t_end: float,
     """
     if t_end < 0.0:
         raise ValueError("t_end must be non-negative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     if samples is None:
         samples = _default_samples(params, t_end)
     if samples < 2:
         raise ValueError("need at least two output samples")
     times = np.linspace(0.0, t_end, samples)
-    d_g, d_q = _increments(params, times[:-1], times[1:], tol)
+    d_g, d_q = _increments(params, times[:-1], times[1:])
     big_g = np.concatenate(([0.0], np.cumsum(d_g)))
     # Im X1 gains Im(conj(G(t_k)) dG_k + dQ_k) over interval k, negated
     im_x1 = -np.concatenate(

@@ -1,10 +1,10 @@
 """Quadrature shared by the solvers, and the error of every adaptive loop.
 
 Every integral in the package runs on one Gauss-Legendre panel kernel,
-`_panel_quadrature`.  It budgets tol**2 per unit time, floored at 1e-13 near
-the rounding noise of its estimate, so below tol of about 3.2e-7 a smaller
-tol changes nothing.  The Schrodinger propagators of `kerrosc.oracle` run
-under their own step-size controller, which budgets tol per unit step.
+`_panel_quadrature`, at a budget floor of 1e-13 per unit time near the
+rounding noise of its estimate; only `linearized_ladder` asks for tol**2
+above it.  The propagators of `kerrosc.oracle` budget tol per unit step
+under their own step-size controller.
 """
 
 from __future__ import annotations

@@ -47,12 +47,12 @@ def fig2_params(chi, alpha=3.0):
 
 @pytest.fixture(scope="module")
 def fig2_solution():
-    return integrate_wei_norman(fig2_params(0.25), 8 * math.pi, tol=1e-10)
+    return integrate_wei_norman(fig2_params(0.25), 8 * math.pi)
 
 
 @pytest.fixture(scope="module")
 def kerr_free_solution():
-    return integrate_wei_norman(fig2_params(0.0), 8 * math.pi, tol=1e-10)
+    return integrate_wei_norman(fig2_params(0.0), 8 * math.pi)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +121,7 @@ class TestCriterion3Revivals:
             p = ModelParams(omega0=omega0, chi=0.25, drive=DriveSpec.zero(),
                             alpha=3.0)
             t = 2 * math.pi / 0.25
-            sol = integrate_wei_norman(p, t, tol=1e-10)
+            sol = integrate_wei_norman(p, t)
             f = abs(autocorrelation(p, sol, t))
             expected = math.exp(-9.0 * (1 - math.cos(omega0 * t)))
             worst = max(worst, abs(f - expected))
@@ -135,7 +135,7 @@ class TestCriterion3Revivals:
         for chi in (0.25, 0.5, 1.0):
             p = fig2_params(chi)
             t_rev = 2 * math.pi / chi
-            sol = integrate_wei_norman(p, 1.1 * t_rev, tol=1e-9)
+            sol = integrate_wei_norman(p, 1.1 * t_rev)
             times = np.arange(0.0, 1.1 * t_rev, dt)
             series = autocorrelation_series(p, sol, times)
             revivals = detect_revivals(series, 0.5)
@@ -248,7 +248,7 @@ class TestCriterion6WeiNormanFidelity:
         # of staying above 0.99.
         p = ModelParams(omega0=1.0, chi=0.01,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
-        sol = integrate_wei_norman(p, 10.0, tol=1e-10)
+        sol = integrate_wei_norman(p, 10.0)
         n_trunc = default_truncation(float(np.abs(sol.eta).max())) + 10
         psi0 = coherent_state(1.0, n_trunc)
         ts = np.linspace(0.5, 10.0, 20)

@@ -16,7 +16,7 @@ from kerrosc.oracle import _exact_blocks, fidelity, integrate_exact
 
 # The keys of the Wei-Norman solve, which simulate, oracle, autocorr and
 # husimi read.  A subcommand refuses a key it does not read, so each has
-# its config in CONFIGS.
+# its config in CONFIGS; only oracle reads tolerance.
 FAST_MODEL = """
 model:
   omega0: 1.0
@@ -24,8 +24,9 @@ model:
   alpha: 1.0
 drive: cos
 time: {t_end: 3.0, samples: 121}
-tolerance: 1.0e-8
 """
+
+ORACLE_MODEL = FAST_MODEL + "tolerance: 1.0e-8\n"
 
 # A resonant drive without the Kerr term pumps the amplitude: 30 levels hold
 # the initial state but not the state at t = 12.
@@ -53,7 +54,7 @@ TABULATED_DRIVE_MODEL = ("model: {omega0: 1.0, chi: 0.1}" + TABULATED_DRIVE
 # Each subcommand's config, of keys it reads.
 CONFIGS = {
     "simulate": FAST_MODEL,
-    "oracle": FAST_MODEL,
+    "oracle": ORACLE_MODEL,
     "variances": "model: {omega0: 1.0}\nvariances: {samples: 101}\n",
     "autocorr": FAST_MODEL,
     "husimi": FAST_MODEL + "grid: {resolution: 61}\n"
@@ -113,9 +114,9 @@ class TestSubcommands:
         assert (out1 / "simulate.csv").read_bytes() == \
             (out2 / "simulate.csv").read_bytes()
 
-    def test_oracle_reports_fidelity_column(self, cfg_file, tmp_path):
+    def test_oracle_reports_fidelity_column(self, config_of, tmp_path):
         out = tmp_path / "out"
-        assert main(["oracle", "--config", str(cfg_file),
+        assert main(["oracle", "--config", str(config_of("oracle")),
                      "--out", str(out)]) == 0
         header, columns, data = read_table(out / "oracle.csv")
         assert any(h.startswith("# oracle_steps: accepted=") for h in header)
@@ -124,16 +125,16 @@ class TestSubcommands:
         assert np.all(data[:, -1] <= 1.0 + 1e-9)
         assert np.all(data[:, -2] <= 1e-8)
 
-    def test_oracle_fidelity_matches_per_sample_states(self, cfg_file,
+    def test_oracle_fidelity_matches_per_sample_states(self, config_of,
                                                        tmp_path):
+        cfg_file = config_of("oracle")
         out = tmp_path / "out"
         assert main(["oracle", "--config", str(cfg_file), "--out", str(out),
                      "--trunc", "30"]) == 0
         _, _, data = read_table(out / "oracle.csv")
         cfg = load_config(cfg_file)
         params = _model_params(cfg)
-        sol = integrate_wei_norman(params, cfg.t_end, tol=cfg.tolerance,
-                                   samples=cfg.samples)
+        sol = integrate_wei_norman(params, cfg.t_end, samples=cfg.samples)
         run = integrate_exact(params, coherent_state(params.alpha, 30),
                               cfg.t_end, tol=cfg.tolerance,
                               sample_times=sol.times)
@@ -142,13 +143,13 @@ class TestSubcommands:
                 for i, t in enumerate(run.times)]
         np.testing.assert_allclose(data[:, -1], loop, rtol=0, atol=1e-12)
 
-    def test_oracle_summary_keys_equal_the_columns(self, cfg_file, tmp_path):
+    def test_oracle_summary_keys_equal_the_columns(self, config_of, tmp_path):
         # fidelity_min is the fidelity column's minimum and its first time,
         # norm_drift_max the drift column's maximum, the same in both formats
         metas = {}
         for fmt in ("csv", "json"):
-            assert main(["oracle", "--config", str(cfg_file), "--out",
-                         str(tmp_path / fmt), "--format", fmt]) == 0
+            assert main(["oracle", "--config", str(config_of("oracle")),
+                         "--out", str(tmp_path / fmt), "--format", fmt]) == 0
             metas[fmt] = read_meta(tmp_path / fmt / f"oracle.{fmt}")
         doc = json.loads((tmp_path / "json" / "oracle.json").read_text())
         data = np.array(doc["rows"])
@@ -167,7 +168,8 @@ class TestSubcommands:
         # levels at 2,000 samples the traced peak grows by less than one
         # block of states (a run holding them all grows by 6.1 MB)
         path = tmp_path / "scenario.yaml"
-        path.write_text(FAST_MODEL.replace("samples: 121", "samples: 2000"))
+        path.write_text(ORACLE_MODEL.replace("samples: 121",
+                                             "samples: 2000"))
         cfg = load_config(path)
 
         def write(stem, columns, rows, extra_meta):
@@ -184,11 +186,11 @@ class TestSubcommands:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < _BLOCK_CELLS * 16, peaks
 
-    def test_exact_blocks_memory_does_not_grow_with_samples(self, cfg_file):
+    def test_exact_blocks_memory_does_not_grow_with_samples(self, config_of):
         # the exact route alone, without the Wei-Norman solve: from 500 to
         # 2,000 samples at 60 levels the traced peak grows by less than one
         # block of states (holding all 2,000 takes 1.9 MB)
-        cfg = load_config(cfg_file)
+        cfg = load_config(config_of("oracle"))
         params = _model_params(cfg)
         psi0 = coherent_state(params.alpha, 60)
 
@@ -439,9 +441,9 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path)]) == 2
 
-    def test_numerical_failure_exit_3(self, cfg_file, tmp_path):
+    def test_numerical_failure_exit_3(self, config_of, tmp_path):
         # forced truncation far below the state support
-        assert main(["oracle", "--config", str(cfg_file),
+        assert main(["oracle", "--config", str(config_of("oracle")),
                      "--out", str(tmp_path), "--trunc", "12"]) == 3
 
     def test_boundary_reached_mid_run_exit_3_naming_t(self, tmp_path,
@@ -465,19 +467,18 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 0
 
     def test_tolerance_override_validated(self, cfg_file, tmp_path):
-        assert main(["simulate", "--config", str(cfg_file),
+        assert main(["oracle", "--config", str(cfg_file),
                      "--out", str(tmp_path), "--tol", "-1.0"]) == 2
 
     @pytest.mark.parametrize("command, flag, value, message", [
-        ("simulate", "--tol", "nan", "must be finite, got nan"),
-        ("simulate", "--tol", "inf", "must be finite, got inf"),
+        ("oracle", "--tol", "nan", "must be finite, got nan"),
+        ("oracle", "--tol", "inf", "must be finite, got inf"),
         ("husimi", "--trunc", "-3", "must be at least 1"),
         ("oracle", "--trunc", "0", "must be at least 1"),
         ("oracle", "--tol", "0", "must be positive"),
-        ("autocorr", "--tol", "-1", "must be positive"),
-        ("husimi", "--tol", "0", "must be positive"),
+        ("oracle", "--tol", "-1", "must be positive"),
     ], ids=["tol-nan", "tol-inf", "trunc-negative", "trunc-zero",
-            "oracle-tol-zero", "autocorr-tol-negative", "husimi-tol-zero"])
+            "oracle-tol-zero", "oracle-tol-negative"])
     def test_overrides_pass_the_config_checks(self, cfg_file, tmp_path, capsys,
                                               command, flag, value, message):
         # --tol and --trunc are checked like the tolerance and truncation keys
@@ -486,7 +487,8 @@ class TestExitCodes:
         assert f"error[config]: {flag}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [
-        ("simulate", "--trunc"), ("autocorr", "--trunc"),
+        ("simulate", "--tol"), ("simulate", "--trunc"),
+        ("autocorr", "--tol"), ("autocorr", "--trunc"), ("husimi", "--tol"),
         ("variances", "--tol"), ("variances", "--trunc"),
         ("spectrum", "--tol"), ("spectrum", "--trunc"),
         ("timemap", "--tol"), ("timemap", "--trunc"),
@@ -609,11 +611,12 @@ class TestUnreadKeys:
          {"kind": "constant", "m0": 1.0},
          "mass.kind: 'exponential' is not read by autocorr "
          "(read by: timemap)"),
+        ("simulate", "tolerance", 1e-8, 1e-10,
+         "tolerance: 1e-08 is not read by simulate (read by: oracle)"),
         ("autocorr", "truncation", 40, None,
          "truncation: 40 is not read by autocorr (read by: oracle, husimi)"),
         ("variances", "tolerance", 5.0, 1e-10,
-         "tolerance: 5.0 is not read by variances "
-         "(read by: simulate, oracle, autocorr, husimi)"),
+         "tolerance: 5.0 is not read by variances (read by: oracle)"),
         ("spectrum", "time.samples", 61, 2001,
          "time.samples: 61 is not read by spectrum "
          "(read by: simulate, oracle, autocorr, husimi, timemap)"),

@@ -48,15 +48,14 @@ def scenario_solution(name):
     cfg = load_config(str(scenarios / f"{name}.yaml"))
     p = ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=cfg.drive(),
                     alpha=cfg.alpha)
-    sol = integrate_wei_norman(p, cfg.t_end, tol=cfg.tolerance,
-                               samples=cfg.samples)
+    sol = integrate_wei_norman(p, cfg.t_end, samples=cfg.samples)
     return cfg, p, sol
 
 
 class TestAutocorrelation:
     def test_unity_at_t0(self):
         p = fig2_params(0.25)
-        sol = integrate_wei_norman(p, 1.0, tol=1e-10)
+        sol = integrate_wei_norman(p, 1.0)
         assert abs(autocorrelation(p, sol, 0.0) - 1.0) < 1e-12
 
     def test_kerr_wrap_revival_without_drive(self):
@@ -67,14 +66,14 @@ class TestAutocorrelation:
             p = ModelParams(omega0=omega0, chi=chi, drive=DriveSpec.zero(),
                             alpha=alpha)
             t = 2 * math.pi / chi
-            sol = integrate_wei_norman(p, t, tol=1e-10)
+            sol = integrate_wei_norman(p, t)
             f = autocorrelation(p, sol, t)
             expected = math.exp(-alpha ** 2 * (1 - math.cos(omega0 * t)))
             assert abs(abs(f) - expected) < 1e-10
 
     def test_series_equals_state_inner_product(self):
         p = fig2_params(0.25, alpha=2.0)
-        sol = integrate_wei_norman(p, 6.0, tol=1e-10)
+        sol = integrate_wei_norman(p, 6.0)
         n_trunc = 70
         start = coherent_state(2.0, n_trunc)
         rng = np.random.default_rng(11)
@@ -144,7 +143,7 @@ class TestAutocorrelation:
 
     def test_series_container_invariants(self):
         p = fig2_params(0.25)
-        sol = integrate_wei_norman(p, 3.0, tol=1e-9)
+        sol = integrate_wei_norman(p, 3.0)
         ser = autocorrelation_series(p, sol, np.linspace(0.0, 3.0, 301))
         assert abs(ser.abs_squared[0] - 1.0) < 1e-10
         assert ser.abs_squared.max() <= 1.0 + 1e-9
@@ -154,7 +153,7 @@ class TestDetectRevivals:
     @pytest.mark.filterwarnings("ignore:chi/omega0")
     def test_kerr_revivals_near_wrap_times(self):
         p = fig2_params(1.0)
-        sol = integrate_wei_norman(p, 14.0, tol=1e-9)
+        sol = integrate_wei_norman(p, 14.0)
         ser = autocorrelation_series(p, sol, np.arange(0.0, 14.0, 0.01))
         revs = detect_revivals(ser, 0.5)
         for k in (1, 2):
@@ -163,14 +162,14 @@ class TestDetectRevivals:
 
     def test_high_threshold_returns_empty(self):
         p = fig2_params(0.25)
-        sol = integrate_wei_norman(p, 3.0, tol=1e-9)
+        sol = integrate_wei_norman(p, 3.0)
         ser = autocorrelation_series(p, sol, np.linspace(0.0, 3.0, 301))
         assert detect_revivals(ser, 1.1).size == 0
 
     @pytest.mark.filterwarnings("ignore:chi/omega0")
     def test_with_revivals_records_detected_times(self):
         p = fig2_params(1.0)
-        sol = integrate_wei_norman(p, 7.0, tol=1e-9)
+        sol = integrate_wei_norman(p, 7.0)
         ser = autocorrelation_series(p, sol, np.arange(0.0, 7.0, 0.01))
         assert ser.revival_times is None
         tagged = ser.with_revivals(0.5)
@@ -294,7 +293,7 @@ class TestHusimiGrid:
 
     def test_horner_matches_log_space_overlap_on_fig2_state(self):
         p = fig2_params(0.25)
-        sol = integrate_wei_norman(p, 8.0, tol=1e-10)
+        sol = integrate_wei_norman(p, 8.0)
         st = evolved_state(p, sol, 2.0, 66)
         g = husimi_grid(st, (-8, 8), (-8, 8), 101)
         assert np.abs(g.values - self.log_space_reference(g, st)).max() < 1e-14
@@ -335,7 +334,7 @@ class TestHusimiGrid:
     def test_closed_form_matches_generic_overlap(self):
         # factorized-evolution closed form against the generic |<gamma|psi>|^2
         p = fig2_params(0.25, alpha=2.0)
-        sol = integrate_wei_norman(p, 8.0, tol=1e-10)
+        sol = integrate_wei_norman(p, 8.0)
         n_trunc = 70
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -387,7 +386,7 @@ class TestHusimiExpectation:
 class TestHusimiSnapshot:
     def test_snapshot_carries_time_and_covers_state(self):
         p = fig2_params(0.25)
-        sol = integrate_wei_norman(p, 2.0, tol=1e-9)
+        sol = integrate_wei_norman(p, 2.0)
         g = husimi_snapshot(p, sol, 1.0, resolution=101)
         assert g.time == 1.0
         assert abs(g.total_mass() - 1.0) < 1e-3

@@ -50,7 +50,7 @@ class TestIntegrateExact:
         p = ModelParams(omega0=1.0, chi=0.0,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
         t_end = 2 * math.pi
-        sol = integrate_wei_norman(p, t_end, tol=1e-10)
+        sol = integrate_wei_norman(p, t_end)
         n_trunc = 60
         run = integrate_exact(p, coherent_state(1.0, n_trunc), t_end,
                               tol=1e-10, sample_times=np.array([t_end]))
