@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,8 +131,17 @@ def _write_csv_body(f, rows: np.ndarray):
 
 
 def _model_params(cfg: ScenarioConfig) -> ModelParams:
-    return ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=cfg.drive(),
-                       alpha=cfg.alpha)
+    """The config's model.  Its one warning, chi/omega0 above 0.5, goes to
+    stderr as a line naming `model.chi`, not as a warning naming this line."""
+    drive = cfg.drive()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=drive,
+                             alpha=cfg.alpha)
+    for warning in caught:
+        print(f"warning[config]: model.chi: {warning.message}",
+              file=sys.stderr)
+    return params
 
 
 def _wei_norman_rows(cfg: ScenarioConfig, sol) -> tuple[list[str], np.ndarray]:

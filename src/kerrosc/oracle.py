@@ -3,9 +3,11 @@
 `integrate_exact` propagates the full Kerr-oscillator Hamiltonian
 H(t) = H0 + e(t) V, with H0 the diagonal Kerr energies (the exact
 number-squared term included) and V = (a + a^dagger)/sqrt(2 Omega0), by a
-split-step scheme.  V is diagonalized once; a Strang step is then
-"diagonal phase, dense rotate, diagonal phase".  Each attempted step runs
-it over 1, 2, 3 and 4 substeps in lockstep and extrapolates in h**2
+split-step scheme: a Strang step is "diagonal phase, rotate, diagonal
+phase".  V only links neighbouring levels, so one SVD of its even-odd
+block, made once, turns each rotation into half-size products and a cos /
+i sin mix (`_chiral_model`).  Each attempted step runs it over 1, 2, 3 and
+4 substeps in lockstep and extrapolates in h**2
 (Blanes, Casas & Ros, Celest. Mech. Dyn. Astron. 75:149, 1999) to order 8,
 with an order-6 error estimate, in one `_extrapolated_step` call on
 buffers made once per run.  It shares no code with the approximate
@@ -52,7 +54,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
-# The extrapolated step runs column j of its (n, 4) state as _SUBSTEPS[j]
+# The extrapolated step runs column j of its (2, m, 4) state as _SUBSTEPS[j]
 # Strang substeps of h / _SUBSTEPS[j], most substeps first, so the columns
 # still running at stage s are the first 4 - s.
 _SUBSTEPS = (4, 3, 2, 1)
@@ -65,8 +67,8 @@ _ROT_WEIGHTS = np.array([1.0 / m for running in _STAGES for m in running])
 # The energy phases, as multiples of -i h E: each column's opening half
 # substep, then after each stage's rotations the two merged half substeps
 # of a column still running, or the closing half substep of the column that
-# ends there.  The 14 phases take 5 distinct fractions, so one `exp` of
-# those fills the table.
+# ends there.  The 14 phases take 5 distinct fractions, so a `cos` and a
+# `sin` of those fill the table.
 _PHASE_FRACTIONS, _PHASE_INDEX = np.unique(
     [0.5 / m for m in _SUBSTEPS] + [(1.0 if m > s + 1 else 0.5) / m
                                     for s, running in enumerate(_STAGES)
@@ -132,53 +134,118 @@ class OracleRun:
                          renormalized=True)
 
 
-def _diagonal_energies(params: ModelParams, n_trunc: int) -> np.ndarray:
-    n = np.arange(n_trunc)
-    return params.omega0 * (n + 0.5) + params.chi * n.astype(float) ** 2
+def _chiral_model(params: ModelParams, n: int) -> tuple:
+    """The step's model on n levels, with V in its chiral form: V links
+    level k to k +- 1 only, so in (even, odd) level order it is
+    [[0, C], [C^T, 0]], and with C = P diag(sigma) Q^T, exp(-i theta V) is
+    W^T = [P^T, Q^T] on the halves, a mix of them by cos(theta sigma) and
+    -i sin(theta sigma), and W back.  Returns the stacked row order, each
+    level's row, W as (2, m, m) with m = ceil(n/2), sigma and the energies
+    by row.  An odd n's odd half gets one padding row: its own basis vector
+    in Q, sigma 0 and an opening phase of 0, so it stays exactly 0."""
+    m, levels = (n + 1) // 2, np.arange(n)
+    order = np.concatenate([levels[::2], levels[1::2], levels[:n % 2]])
+    ladder = np.sqrt(levels[1:]) / math.sqrt(2.0 * params.omega0)
+    p, sigma, qt = np.linalg.svd(
+        (np.diag(ladder, 1) + np.diag(ladder, -1))[::2, 1::2])
+    q = np.eye(m)
+    q[:n // 2, :n // 2] = qt.T
+    level = order.astype(float)
+    return (order, np.argsort(order[:n]), np.stack([p, q]),
+            np.append(sigma, np.zeros(n % 2)),
+            params.omega0 * (level + 0.5) + params.chi * level ** 2)
 
 
-def _extrapolation_workspace(n: int) -> tuple:
-    """`_extrapolated_step`'s buffers on n levels, and their views per
-    stage: the running columns of the state, the stage's own rotated copy,
-    and its rotation and phase tables."""
-    rot, fractions, phases, x = (
-        np.empty(shape, np.complex128) for shape in
-        ((n, _ROT_MIDS.size), (n, _PHASE_FRACTIONS.size),
-         (n, _PHASE_INDEX.size), (n, 4)))
-    stages, first = [], 0
-    for k in map(len, _STAGES):
-        s, b = x[:, :k], np.empty((n, k), np.complex128)
-        stages.append((s, s.view(np.float64), b, b.view(np.float64),
-                       rot[:, first:first + k],
-                       phases[:, 4 + first:4 + first + k]))
-        first += k
-    return rot, fractions, phases, x, stages
+def _blocks(table: np.ndarray, m: int, widths: list) -> list:
+    """A flat table's consecutive contiguous (2, m, k) blocks, k in widths."""
+    ends = 2 * m * np.cumsum([0] + widths)
+    return [table[a:b].reshape(2, m, -1) for a, b in zip(ends, ends[1:])]
 
 
-def _extrapolated_step(psi, t, h, drive, energies, d, u, work=None):
+class _Workspace:
+    """`_extrapolated_step`'s buffers on n levels, made once per run.  Its
+    tables are stage-blocked, each stage's (2, m, k) block contiguous: the
+    cos and i sin of the rotation angles, and two energy-phase tables, each
+    tagged with its step length.  `fills` counts the phase tables made."""
+
+    def __init__(self, n: int):
+        m = (n + 1) // 2
+        rows, widths = np.arange(2 * m), [len(run) for run in _STAGES]
+        columns = np.split(np.arange(_ROT_MIDS.size), np.cumsum(widths)[:-1])
+        # the angles by rotation, and their cos + 0i and 0 + i sin; the
+        # phases by fraction, then a fixed 0 that opens the padding row
+        self.angles = np.empty((_ROT_MIDS.size, m))
+        self.trig = np.zeros((2,) + self.angles.shape, np.complex128)
+        self.args = np.empty((_PHASE_FRACTIONS.size, 2 * m))
+        self.fractions = np.zeros(self.args.size + 1, np.complex128)
+        # each entry of the stage-blocked tables, as a flat index into those
+        self.rot_layout = np.concatenate(
+            [np.add.outer(rows % m, c * m).ravel() for c in columns]
+        ) + [[0], [self.angles.size]]
+        self.phase_layout = np.concatenate(
+            [np.add.outer(rows, _PHASE_INDEX[c] * 2 * m).ravel()
+             for c in [np.arange(4)] + [c + 4 for c in columns]])
+        self.phase_layout[4 * n:8 * m] = self.args.size  # padding: opens at 0
+        self.rot = np.empty(self.rot_layout.shape, np.complex128)
+        self.tags, self.tables = [math.nan] * 2, [
+            (t, _blocks(t, m, [4] + widths)) for t in
+            (np.empty(self.phase_layout.size, np.complex128) for _ in (0, 1))]
+        self.x = np.empty((2, m, 4), np.complex128)
+        self.stages = []
+        for k, cos, isin in zip(widths, *(_blocks(r, m, widths)
+                                          for r in self.rot)):
+            s, b = self.x[..., :k], np.empty((2, m, k), np.complex128)
+            self.stages.append((s, s.view(np.float64), b, b.view(np.float64),
+                                np.empty_like(b), cos, isin))
+        self.fills = 0
+
+    def phases(self, h: float, energies: np.ndarray) -> list:
+        """The blocks of step length h's energy-phase table, opening first.
+        A miss refills the older table in place, bit-equal to a fresh one."""
+        if h not in self.tags:
+            self.tags, self.tables = [self.tags[1], h], self.tables[::-1]
+            np.multiply((-h * _PHASE_FRACTIONS)[:, None], energies,
+                        out=self.args)
+            by_fraction = self.fractions[:-1].reshape(self.args.shape)
+            np.cos(self.args, out=by_fraction.real)
+            np.sin(self.args, out=by_fraction.imag)
+            self.fractions.take(self.phase_layout, out=self.tables[1][0],
+                                mode="clip")
+            self.fills += 1
+        return self.tables[self.tags.index(h)][1]
+
+
+def _extrapolated_step(psi, t, h, drive, model, work=None):
     """The extrapolated step of length h from psi at t: (kept, estimate).
 
-    The Strang substep exp(-i H0 tau/2) U exp(-i tau e(t_mid) D) U^T
+    The Strang substep exp(-i H0 tau/2) exp(-i tau e(t_mid) V)
     exp(-i H0 tau/2) runs as chains of 1, 2, 3 and 4 substeps of h / 1 ..
     h / 4, neighbouring half phases merged, in lockstep as the columns of
-    one state: each rotation is one real product U^T @ x.view(float) on the
-    columns still running.  One product with `_EXTRAPOLATION` gives T44,
-    kept renormalized when finite (it is not unitary), and T44 - T43, whose
-    norm is the estimate.  Returns a fresh kept state."""
-    rot, fractions, phases, x, stages = work or _extrapolation_workspace(
-        d.size)
-    e = drive(t + h * _ROT_MIDS)
-    np.exp(np.multiply.outer(d, -1j * h * _ROT_WEIGHTS * e, out=rot), out=rot)
-    np.exp(np.multiply.outer(energies, -1j * h * _PHASE_FRACTIONS,
-                             out=fractions), out=fractions)
-    fractions.take(_PHASE_INDEX, axis=1, out=phases)
-    np.multiply(psi[:, None], phases[:, :4], out=x)
-    for s, s_float, b, b_float, r, phase in stages:
-        np.matmul(u.T, s_float, out=b_float)
-        b *= r
-        np.matmul(u, b_float, out=s_float)
+    one (2, m, 4) state in `_chiral_model`'s row order.  Each stage rotates
+    the columns still running: one stacked real product W^T @ x, the cos /
+    i sin mix of the halves, and W @ x back.  One product with
+    `_EXTRAPOLATION` gives T44, kept renormalized when finite (it is not
+    unitary), and T44 - T43, whose norm is the estimate.  Returns a fresh
+    kept state."""
+    order, rows, w, sigma, energies = model
+    work = work or _Workspace(rows.size)
+    np.multiply((-h * _ROT_WEIGHTS * drive(t + h * _ROT_MIDS))[:, None],
+                sigma, out=work.angles)
+    np.cos(work.angles, out=work.trig[0].real)
+    np.sin(work.angles, out=work.trig[1].imag)
+    work.trig.take(work.rot_layout, out=work.rot, mode="clip")
+    opening, *phases = work.phases(h, energies)
+    np.multiply(psi[order].reshape(2, -1, 1), opening, out=work.x)
+    for (s, s_float, b, b_float, mixed, cos, isin), phase in zip(
+            work.stages, phases):
+        np.matmul(w.mT, s_float, out=b_float)
+        np.multiply(b[::-1], isin, out=mixed)
+        b *= cos
+        b += mixed
+        np.matmul(w, b_float, out=s_float)
         s *= phase
-    kept, error = _EXTRAPOLATION.T @ x.T
+    kept, error = _EXTRAPOLATION.T @ work.x.reshape(-1, 4).T
+    kept = kept[rows]
     norm = math.sqrt(np.vdot(kept, kept).real)
     if math.isfinite(norm):  # a non-finite state is the controller's to refuse
         kept /= norm
@@ -278,14 +345,9 @@ def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
             f"initial support too close to the truncation boundary "
             f"(top-{SUPPORT_MARGIN} population {margin_pop:.3e})")
 
-    energies = _diagonal_energies(params, n_trunc)
-    ladder = np.sqrt(np.arange(1, n_trunc))
-    coupling = (np.diag(ladder, 1) + np.diag(ladder, -1)) \
-        / math.sqrt(2.0 * params.omega0)
-    d, u = np.linalg.eigh(coupling)
-
-    step = partial(_extrapolated_step, drive=params.drive, energies=energies,
-                   d=d, u=u, work=_extrapolation_workspace(n_trunc))
+    work = _Workspace(n_trunc)
+    step = partial(_extrapolated_step, drive=params.drive,
+                   model=_chiral_model(params, n_trunc), work=work)
     peak_drift = peak_top = 0.0
 
     def guarded(part, states):
@@ -314,10 +376,11 @@ def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
     accepted, rejected = _step_control(step, 6, _EXTRAPOLATION_FLOOR,
                                        psi0.amplitudes, t_end, times, tol,
                                        guarded)
-    logger.debug("integrate_exact: %d accepted, %d rejected steps, budget "
-                 "%g per unit step, peak norm drift %.3e, peak boundary "
-                 "population %.3e, %s", accepted, rejected, tol, peak_drift,
-                 peak_top, _wall_time(start, accepted + rejected))
+    logger.debug("integrate_exact: %d accepted, %d rejected steps, %d phase "
+                 "tables, budget %g per unit step, peak norm drift %.3e, "
+                 "peak boundary population %.3e, %s", accepted, rejected,
+                 work.fills, tol, peak_drift, peak_top,
+                 _wall_time(start, accepted + rejected))
     return accepted, rejected
 
 
@@ -330,7 +393,9 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
     over 1, 2, 3 and 4 substeps and keeps their Aitken-Neville
     extrapolation in h**2, of order 8, renormalized; the distance to the
     order-6 extrapolation over 2, 3 and 4 substeps is the error estimate
-    that sets the step.  One `_extrapolated_step` call computes both.
+    that sets the step.  One `_extrapolated_step` call computes both, with
+    V in its chiral form; the energy-phase tables of the last two step
+    lengths are kept, and the DEBUG line counts those filled.
 
     Parameters
     ----------

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,6 +457,16 @@ class TestExitCodes:
                          r"boundary at t=(\S+) ", capsys.readouterr().err)
         assert found and 0.0 < float(found[1]) < 12.0
         assert not (tmp_path / "oracle.csv").exists()
+
+    def test_strong_kerr_warning_names_the_config_key(self, tmp_path,
+                                                      capsys):
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        assert main(["simulate", "--config",
+                     str(scenarios / "autocorr_kerr_unit.yaml"),
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == (
+            "warning[config]: model.chi: chi/omega0 = 1 > 0.5: outside the "
+            "weak-nonlinearity regime the approximations assume\n")
 
     def test_modulated_frequency_rejected_for_dynamics(self, tmp_path):
         cfg = tmp_path / "k.yaml"

@@ -45,3 +45,15 @@ def test_block_schrodinger_run_loads_no_scipy():
             "lambda s: 0.5 * p @ p + 0.5 * w(s) ** 2 * q @ q, "
             "fock.number_state(0, 12), 1.0)")
     assert loaded(code, ("scipy",)) == []
+
+
+def test_exact_run_loads_no_scipy():
+    # the oracle's route: the chiral form of the coupling comes from one
+    # numpy SVD, on an odd basis here, so its padding row runs too
+    code = ("import numpy as np; "
+            "from kerrosc import driven, evolution, fock, oracle; "
+            "p = evolution.ModelParams(omega0=1.0, chi=0.25, "
+            "drive=driven.DriveSpec.cosine(1.0, 1.0), alpha=1.0); "
+            "oracle.integrate_exact(p, fock.coherent_state(1.0, 31), 1.0, "
+            "sample_times=np.linspace(0.0, 1.0, 11))")
+    assert loaded(code, ("scipy",)) == []

@@ -22,9 +22,9 @@ from kerrosc.integrators import StepSizeError
 from kerrosc.oracle import (
     OracleError,
     OracleRun,
-    _diagonal_energies,
+    _chiral_model,
     _extrapolated_step,
-    _extrapolation_workspace,
+    _Workspace,
     fidelity,
     integrate_exact,
     integrate_schrodinger,
@@ -181,6 +181,26 @@ class TestIntegrateExact:
         # wall is printed to the millisecond
         assert per_step * attempted == pytest.approx(1e6 * wall, abs=1e3)
 
+    @pytest.mark.parametrize("samples, steps, tables", [
+        (1001, 1000, 17), (2, 203, 154)], ids=["grid", "controller"])
+    def test_phase_tables_pinned(self, caplog, samples, steps, tables):
+        # the energy-phase table depends on the step length alone and the
+        # workspace keeps two: the 1,000 steps of an equidistant grid take
+        # 12 distinct lengths and fill a table 17 times.  With the
+        # controller setting the steps (the fig. 2 quarter below) most
+        # lengths are new, but a step that splits the rest of an interval
+        # evenly can repeat its predecessor's length bit for bit
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
+        t_end = 2 * math.pi
+        with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+            run = integrate_exact(p, coherent_state(3.0, 66), t_end,
+                                  tol=1e-10, sample_times=np.linspace(
+                                      0.0, t_end, samples))
+        assert (run.accepted_steps, run.rejected_steps) == (steps, 0)
+        assert f"{steps} accepted, 0 rejected steps, {tables} phase tables" \
+            in caplog.text
+
     def test_step_counts_pinned_in_the_fig2_regime(self):
         # a quarter of the fig. 2 run (chi = 0.25, alpha = 3, 66 levels) with
         # the end as its only sample, so the controller sets every step, not
@@ -256,12 +276,14 @@ class TestExactPair:
         and `_extrapolated_step`'s arguments after (psi, t, h)."""
         p = ModelParams(omega0=1.0, chi=chi,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
-        ladder = np.sqrt(np.arange(1, n))
-        d, u = np.linalg.eigh(np.diag(ladder, 1) + np.diag(ladder, -1))
-        return p, (p.drive, _diagonal_energies(p, n), d / math.sqrt(2.0), u)
+        return p, (p.drive, _chiral_model(p, n))
 
-    @pytest.mark.parametrize("chi, n", [(0.25, 66), (0.0, 203)],
-                             ids=["fig2-66", "kerr-free-203"])
+    # even and odd bases, the odd ones with the chiral form's padding row,
+    # down to the smallest the oracle takes (SUPPORT_MARGIN + 1 levels)
+    @pytest.mark.parametrize("chi, n", [(0.25, 66), (0.0, 203), (0.25, 11),
+                                        (0.25, 65)],
+                             ids=["fig2-66", "kerr-free-203", "smallest-11",
+                                  "odd-65"])
     def test_matches_four_dense_strang_chains(self, chi, n):
         p, args = self.model(chi, n)
         rng = np.random.default_rng(n)
@@ -270,9 +292,12 @@ class TestExactPair:
         t, h = 1.3, 0.02
         t44, t43 = self.neville(
             [self.strang_chain(psi, t, h, m, p, n) for m in (1, 2, 3, 4)])
-        kept, estimate = _extrapolated_step(psi, t, h, *args)
+        work = _Workspace(n)
+        kept, estimate = _extrapolated_step(psi, t, h, *args, work)
         assert np.abs(kept - t44 / np.linalg.norm(t44)).max() < 1e-13
         assert abs(estimate - np.linalg.norm(t44 - t43)) < 1e-13
+        # an odd basis's padding row (the last stacked row) ends exactly 0
+        assert not work.x.reshape(-1, 4)[n:].any()
 
     def test_estimate_is_of_sixth_order(self):
         # the error of the order-6 T43 over one step goes as h**7: halving
@@ -288,7 +313,7 @@ class TestExactPair:
     def test_returns_fresh_arrays_from_a_reused_workspace(self):
         _, args = self.model(0.25, 30)
         psi = coherent_state(1.0, 30).amplitudes
-        work = _extrapolation_workspace(30)
+        work = _Workspace(30)
         first = _extrapolated_step(psi, 0.5, 0.01, *args, work)
         kept = first[0].copy()
         second = _extrapolated_step(first[0], 0.51, 0.01, *args, work)
@@ -301,6 +326,16 @@ class TestExactPair:
         fresh = _extrapolated_step(kept, 0.51, 0.01, *args)
         assert np.array_equal(second[0], fresh[0])
         assert second[1] == fresh[1]
+        # lengths h', h'' and h again: h'' evicts h's phase table from the
+        # two slots and h refills one, each step bit-equal to a fresh one
+        t, state = 0.52, second[0]
+        for h in (0.02, 0.03, 0.01):
+            reused = _extrapolated_step(state, t, h, *args, work)
+            fresh = _extrapolated_step(state, t, h, *args)
+            assert np.array_equal(reused[0], fresh[0])
+            assert reused[1] == fresh[1]
+            t, state = t + h, reused[0]
+        assert work.fills == 4
 
     def test_runs_at_other_truncations_leave_no_trace(self):
         # each run fills its own workspace: interleaved runs at two
