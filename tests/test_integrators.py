@@ -17,10 +17,10 @@ def scalar_schrodinger(energy, y0, t_end, tol, sample_times=None):
 
 class TestAdaptiveIntegrator:
     """The cases of the Dormand-Prince 5(4) stepper that still apply, run on
-    the commutator-free Magnus propagator of `integrate_schrodinger` that
-    replaced it, with a 1x1 Hamiltonian.  The energy varies in time, so the
-    two-node Gauss rule inside each step is not exact and the step-size
-    controller has work to do; tol is the error budget per unit step."""
+    the propagator of `integrate_schrodinger` that replaced it, with a 1x1
+    Hamiltonian.  The energy varies in time, so the midpoint rule inside
+    each substep is not exact and the step-size controller has work to do;
+    tol is the error budget per unit step."""
 
     def test_linear_oscillator_endpoint(self):
         # E(t) = -w (1 + cos(t) / 2): psi(t) = exp(i w (t + sin(t) / 2))
