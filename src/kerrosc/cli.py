@@ -258,7 +258,7 @@ def run_husimi(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     for idx, tau in enumerate(cfg.husimi_times):
         t = tau / cfg.omega0
         grid = husimi_snapshot(params, _interpolated_solution(sol, t), t,
-                               half_width=cfg.half_width(),
+                               half_width=cfg.grid_half_width,
                                resolution=cfg.grid_resolution, n_trunc=n_trunc)
         xx, yy = np.meshgrid(grid.x, grid.y)
         rows = np.column_stack([xx.ravel(), yy.ravel(), grid.values.ravel()])

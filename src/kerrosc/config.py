@@ -156,7 +156,7 @@ class ScenarioConfig:
     t_end: float = _key("time", _real, lambda v: 8.0 * math.pi / v["omega0"],
                         _POSITIVE)
     samples: int = _key("time", _integer, 2001, _AT_LEAST_2)
-    # None: |alpha| + 5, see half_width()
+    # None: husimi_snapshot's default window, |alpha| + 5
     grid_half_width: float | None = _key("grid", _real, None, _POSITIVE)
     grid_resolution: int = _key("grid", _integer, 201, (
         lambda v: v >= 2, "need at least 2 per axis"))
@@ -189,11 +189,6 @@ class ScenarioConfig:
 
     def frequency(self) -> FrequencySpec:
         return FrequencySpec(self.omega0, self.k)
-
-    def half_width(self) -> float:
-        if self.grid_half_width is not None:
-            return self.grid_half_width
-        return abs(self.alpha) + 5.0
 
 
 # section -> {YAML key: its field's metadata and name}, in field order

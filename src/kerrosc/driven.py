@@ -226,7 +226,7 @@ def eigenfunction(n: int, q, drive: DriveSpec, frequency: FrequencySpec,
     shift = lam * math.sqrt(2.0 / omega)
     z = math.sqrt(omega) * (q + shift)
     psi = omega ** 0.25 * hermite_functions(n, z)[n]
-    return psi if q.ndim else float(psi)
+    return psi if q.ndim else float(psi[0])
 
 
 def displaced_number_state(n: int, lam: float, n_trunc: int) -> FockState:

@@ -6,18 +6,17 @@ number-squared term included) and V = (a + a^dagger)/sqrt(2 Omega0), by a
 split-step scheme: a Strang step is "diagonal phase, rotate, diagonal
 phase".  V only links neighbouring levels, so one SVD of its even-odd
 block, made once, turns each rotation into half-size products and a cos /
-i sin mix (`_chiral_model`).  Each attempted step runs it over 1, 2, 3 and
-4 substeps in lockstep and extrapolates in h**2
-(Blanes, Casas & Ros, Celest. Mech. Dyn. Astron. 75:149, 1999) to order 8,
-with an order-6 error estimate, in one `_extrapolated_step` call on
-buffers made once per run.  It shares no code with the approximate
-branches, so it stays an independent route to the answer.
-`integrate_schrodinger`, the generic dense-matrix variant used to validate
-the time-reparametrization theorem, shares that tableau but not the
-splitting or the exponential route: its substep is the exponential midpoint
-rule, through `eigh` on the decoupled blocks of H(t).  Both run under one
-step-size controller, `_step_control`, which hands the sample states over
-in blocks of rows, and read tol as the same error budget per unit step.
+i sin mix (`_chiral_model`).  Each attempted step runs it as chains of 1,
+2, 3 and 4 substeps in lockstep, on buffers made once per run
+(`_strang_chains`).  It shares no code with the approximate branches, so it
+stays an independent route to the answer.  `integrate_schrodinger`, the
+generic dense-matrix variant used to validate the time-reparametrization
+theorem, runs the same chains of another substep: the exponential midpoint
+rule, through `eigh` on the decoupled blocks of H(t).  One step-size
+controller, `_step_control`, alone extrapolates both steps' chains in h**2
+(Blanes, Casas & Ros, Celest. Mech. Dyn. Astron. 75:149, 1999) to order 8
+with an order-6 error estimate, rescales the result to the initial norm and
+reports the defect that removes.  It hands the samples over in row blocks.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
-# The extrapolated step runs column j of its (2, m, 4) state as _SUBSTEPS[j]
+# `_strang_chains` runs column j of its (2, m, 4) state as _SUBSTEPS[j]
 # Strang substeps of h / _SUBSTEPS[j], most substeps first, so the columns
 # still running at stage s are the first 4 - s.
 _SUBSTEPS = (4, 3, 2, 1)
@@ -88,6 +87,7 @@ def _extrapolation_weights(substeps) -> np.ndarray:
 _T44, _T43 = (_extrapolation_weights(_SUBSTEPS[:k]) for k in (4, 3))
 _EXTRAPOLATION = np.column_stack(
     [_T44, _T44 - np.append(_T43, 0.0)]).astype(np.complex128)
+_ORDER = 6  # of T43, whose local error the estimate measures
 # Rounding floor of the estimate: the estimate of a one-ulp difference
 # between unit states, in the column it weighs most.  A budget tol * h under
 # the floor can only pass an estimate of exactly 0, which says nothing.
@@ -159,7 +159,7 @@ def _blocks(table: np.ndarray, m: int, widths: list) -> list:
 
 
 class _Workspace:
-    """`_extrapolated_step`'s buffers on n levels, made once per run.  Its
+    """`_strang_chains`'s buffers on n levels, made once per run.  Its
     tables are stage-blocked, each stage's (2, m, k) block contiguous: the
     cos and i sin of the rotation angles, and two energy-phase tables, each
     tagged with its step length.  `fills` counts the phase tables made."""
@@ -210,18 +210,17 @@ class _Workspace:
         return self.tables[self.tags.index(h)][1]
 
 
-def _extrapolated_step(psi, t, h, drive, model, work=None):
-    """The extrapolated step of length h from psi at t: (kept, estimate).
+def _strang_chains(psi, t, h, drive, model, work=None):
+    """The end states of the Strang chains of a step of length h from psi at
+    t: row j holds _SUBSTEPS[j] substeps of h / _SUBSTEPS[j], over the
+    levels in order.
 
     The Strang substep exp(-i H0 tau/2) exp(-i tau e(t_mid) V)
-    exp(-i H0 tau/2) runs as chains of 1, 2, 3 and 4 substeps of h / 1 ..
-    h / 4, neighbouring half phases merged, in lockstep as the columns of
-    one (2, m, 4) state in `_chiral_model`'s row order.  Each stage rotates
-    the columns still running: one stacked real product W^T @ x, the cos /
-    i sin mix of the halves, and W @ x back.  One product with
-    `_EXTRAPOLATION` gives T44, kept renormalized when finite (it is not
-    unitary), and T44 - T43, whose norm is the estimate.  Returns a fresh
-    kept state."""
+    exp(-i H0 tau/2) runs, neighbouring half phases merged, in lockstep as
+    the columns of one (2, m, 4) state in `_chiral_model`'s row order.  Each
+    stage rotates the columns still running: one stacked real product
+    W^T @ x, the cos / i sin mix of the halves, and W @ x back.  Returns a
+    fresh array."""
     order, rows, w, sigma, energies = model
     work = work or _Workspace(rows.size)
     np.multiply((-h * _ROT_WEIGHTS * drive(t + h * _ROT_MIDS))[:, None],
@@ -239,12 +238,7 @@ def _extrapolated_step(psi, t, h, drive, model, work=None):
         b += mixed
         np.matmul(w, b_float, out=s_float)
         s *= phase
-    kept, error = _EXTRAPOLATION.T @ work.x.reshape(-1, 4).T
-    kept = kept[rows]
-    norm = math.sqrt(np.vdot(kept, kept).real)
-    if math.isfinite(norm):  # a non-finite state is the controller's to refuse
-        kept /= norm
-    return kept, math.sqrt(np.vdot(error, error).real)
+    return work.x.reshape(-1, 4).T[:, rows]
 
 
 def _wall_time(start: float, attempted: int) -> str:
@@ -254,27 +248,31 @@ def _wall_time(start: float, attempted: int) -> str:
     return f"{wall:.3f} s wall, {per_step:.1f} us per attempted step"
 
 
-def _step_control(step, order: int, floor: float, psi0, t_end: float,
-                  times: np.ndarray, tol: float, take) -> tuple:
+def _step_control(chains, psi0, t_end: float, times: np.ndarray, tol: float,
+                  take) -> tuple:
     """Step from psi0 at t = 0 through the sorted sample times; returns the
-    accepted and rejected step counts, and the peak accepted estimate as a
-    fraction of its budget.
+    accepted and rejected step counts, the peak accepted estimate as a
+    fraction of its budget, and the peak norm defect of the accepted steps.
 
     The states at times[part] go to take(part, states) as each `_row_blocks`
     block fills, in a fresh (rows, levels) array, so a run holds one block
     of samples, not all of them.
 
-    step(psi, t, h) returns (kept, estimate): the state after a step of
-    length h, and an estimate of the error of a one-step map of the given
-    order, whose rounding floor is floor.  A step is accepted when its
-    estimate is at most tol * h, with h the controller's step, and the next
-    h follows from the estimate's local error ~ h**(order + 1).  The rest of
-    each sample interval is split into ceil(rest / h) equal steps, so the
-    run lands on every sample exactly.  StepSizeError when h falls under
-    1e-14 of the span, or the budget tol * h under floor: where the steps
-    commute the estimate is rounding alone, exactly 0 as often as not, and
-    h would never shrink to the floor.  OracleError when a step's estimate
-    is not finite: the state is lost.
+    chains(psi, t, h) returns the end states of a step of length h's chains
+    of substeps, shaped (4, levels), row j over _SUBSTEPS[j] substeps.  One
+    product with `_EXTRAPOLATION` gives their extrapolation T44, of order 8,
+    and T44 - T43, whose norm estimates the error of the order-6 T43.  A
+    step is accepted when its estimate is at most tol * h, with h the
+    controller's step, and the next h follows from the estimate's local
+    error ~ h**7.  T44 is not unitary: an accepted one is rescaled to psi0's
+    norm, and the defect |norm ratio - 1| this removes is what is reported.
+    The rest of each sample interval is split into ceil(rest / h) equal
+    steps, so the run lands on every sample exactly.  StepSizeError when h
+    falls under 1e-14 of the span, or the budget tol * h under
+    `_EXTRAPOLATION_FLOOR`: where the steps commute the estimate is
+    rounding alone, exactly 0 as often as not, and h would never shrink to
+    the floor.  OracleError when a step's estimate is not finite: the state
+    is lost.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -285,10 +283,11 @@ def _step_control(step, order: int, floor: float, psi0, t_end: float,
         raise ValueError("sample times must be sorted within [0, t_end]")
     span = float(times[-1]) if times.size else 0.0
     h = span * 1e-3
-    h_min = max(span * 1e-14, floor / tol)
+    h_min = max(span * 1e-14, _EXTRAPOLATION_FLOOR / tol)
     psi = np.array(psi0, dtype=np.complex128)
+    norm0 = math.sqrt(np.vdot(psi, psi).real)
     t = 0.0
-    accepted, rejected, peak = 0, 0, 0.0
+    accepted, rejected, peak, defect = 0, 0, 0.0, 0.0
     for part in _row_blocks(times.size, psi.size):
         block = np.empty((times[part].size, psi.size), dtype=np.complex128)
         for row, target in enumerate(times[part]):
@@ -297,13 +296,18 @@ def _step_control(step, order: int, floor: float, psi0, t_end: float,
                     raise StepSizeError(f"step size underflow at t={t:.6g}", t)
                 pieces = math.ceil((target - t) / h)
                 length = (target - t) / pieces
-                kept, err = step(psi, t, length)
+                kept, error = _EXTRAPOLATION.T @ chains(psi, t, length)
+                err = math.sqrt(np.vdot(error, error).real)
                 if not math.isfinite(err):  # a NaN or inf drive value, say
                     raise OracleError(f"non-finite state in the step from "
                                       f"t={t:.6g} to t={t + length:.6g}")
                 ok = err <= tol * h
                 if ok:
                     peak = max(peak, err / (tol * h))
+                    if norm0:  # a zero state stays zero
+                        ratio = math.sqrt(np.vdot(kept, kept).real) / norm0
+                        defect = max(defect, abs(ratio - 1.0))
+                        kept /= ratio
                     psi = kept
                     t = target if pieces == 1 else t + length
                     accepted += 1
@@ -314,11 +318,11 @@ def _step_control(step, order: int, floor: float, psi0, t_end: float,
                 # collapse h.
                 if not (ok and pieces == 1 and length < h):
                     factor = (_MAX_FACTOR if err == 0.0 else _SAFETY
-                              * (tol * length / err) ** (1.0 / order))
+                              * (tol * length / err) ** (1.0 / _ORDER))
                     h = length * min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
             block[row] = psi
         take(part, block)
-    return accepted, rejected, peak
+    return accepted, rejected, peak, defect
 
 
 def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
@@ -343,16 +347,16 @@ def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
             f"(top-{SUPPORT_MARGIN} population {margin_pop:.3e})")
 
     work = _Workspace(n_trunc)
-    step = partial(_extrapolated_step, drive=params.drive,
-                   model=_chiral_model(params, n_trunc), work=work)
+    chains = partial(_strang_chains, drive=params.drive,
+                     model=_chiral_model(params, n_trunc), work=work)
     peak_drift = peak_top = 0.0
 
     def guarded(part, states):
         nonlocal peak_drift, peak_top
-        # Nearly vacuous: the step renormalizes each kept state, so the
-        # drift stays at the rounding level.  This only catches a step that
-        # kept an unnormalized state (check 8's run at tol 4e-4 would drift
-        # 9.0e-5 without the renormalization) or a bug.
+        # Nearly vacuous: the controller rescales each kept state to psi0's
+        # unit norm, so the drift stays at the rounding level.  This only
+        # catches a kept state left unnormalized (check 8's run at tol 4e-4
+        # would drift 9.0e-5 without the rescale) or a bug.
         drift = np.abs(np.linalg.norm(states, axis=1) - 1.0)
         top = np.abs(states[:, -1]) ** 2
         peak_drift = max(peak_drift, float(drift.max()))
@@ -370,14 +374,14 @@ def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
                 f"(top-level population {top[k]:.3e})")
         take(part, states, drift)
 
-    accepted, rejected, peak = _step_control(
-        step, 6, _EXTRAPOLATION_FLOOR, psi0.amplitudes, t_end, times, tol,
-        guarded)
+    accepted, rejected, peak, defect = _step_control(
+        chains, psi0.amplitudes, t_end, times, tol, guarded)
     logger.debug("integrate_exact: %d accepted, %d rejected steps, %d phase "
                  "tables, budget %g per unit step, peak estimate %.2g of "
-                 "budget, peak norm drift %.3e, peak boundary population "
-                 "%.3e, %s", accepted, rejected, work.fills, tol, peak,
-                 peak_drift, peak_top, _wall_time(start, accepted + rejected))
+                 "budget, peak norm defect %.2g before rescale, peak norm "
+                 "drift %.3e, peak boundary population %.3e, %s", accepted,
+                 rejected, work.fills, tol, peak, defect, peak_drift, peak_top,
+                 _wall_time(start, accepted + rejected))
     return accepted, rejected
 
 
@@ -386,13 +390,16 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
                     sample_times: np.ndarray | None = None) -> OracleRun:
     """Direct time-ordered evolution of the full Kerr-oscillator Hamiltonian.
 
-    An extrapolated split-step propagator: each step runs Strang substeps
-    over 1, 2, 3 and 4 substeps and keeps their Aitken-Neville
-    extrapolation in h**2, of order 8, renormalized; the distance to the
+    An extrapolated split-step propagator: each step runs chains of 1, 2, 3
+    and 4 Strang substeps and keeps their Aitken-Neville extrapolation in
+    h**2, of order 8, rescaled to psi0's unit norm; the distance to the
     order-6 extrapolation over 2, 3 and 4 substeps is the error estimate
-    that sets the step.  One `_extrapolated_step` call computes both, with
-    V in its chiral form; the energy-phase tables of the last two step
-    lengths are kept, and the DEBUG line counts those filled.
+    that sets the step.  One `_strang_chains` call runs the chains, with V
+    in its chiral form, and `_step_control` extrapolates them; the
+    energy-phase tables of the last two step lengths are kept.  The DEBUG
+    line counts those filled, and reports the peak estimate as a fraction
+    of its budget and the peak norm defect |norm - 1| the rescale removed
+    from an accepted step (5.8e-15 on the fig. 2 run).
 
     Parameters
     ----------
@@ -448,15 +455,16 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
                           sample_times: np.ndarray | None = None) -> np.ndarray:
     """Generic dense-matrix Schrodinger integration i d psi/dt = H(t) psi.
 
-    `integrate_exact`'s extrapolation and controller on the exponential
-    midpoint substep exp(-i tau H(t + c h)): H at the step's 9 distinct
-    midpoints c is checked as one stack and put through one stacked `eigh`
-    per block size.  The kept state is rescaled to the incoming norm (the
-    extrapolation is not unitary); the DEBUG line reports the peak defect
-    |norm ratio - 1| this removed from a step, the peak estimate as a
-    fraction of its budget and the final partition: the connected
-    components of the exact nonzero pattern of every H seen, so a coupling
-    that switches on mid-run is never dropped.
+    `integrate_exact`'s chains, extrapolation and controller on the
+    exponential midpoint substep exp(-i tau H(t + c h)): H at the step's 9
+    distinct midpoints c is checked as one stack and put through one
+    stacked `eigh` per block size.  The kept state is rescaled to psi0's
+    norm, as in `integrate_exact`, so every sample keeps that norm; the
+    DEBUG line reports the peak defect |norm ratio - 1| this removed from
+    an accepted step, the peak estimate as a fraction of its budget and the
+    final partition: the connected components of the exact nonzero pattern
+    of every H seen, so a coupling that switches on mid-run is never
+    dropped.
 
     Parameters
     ----------
@@ -489,7 +497,7 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
     if sample_times is None:
         sample_times = np.array([t_end])
 
-    arithmetic, n, peak_defect = set(), psi0.n_trunc, 0.0
+    arithmetic, n = set(), psi0.n_trunc
     # The cached partition, as the reachability matrix of its blocks, and
     # the blocks as (count, size) level arrays, one per size.  It starts as
     # n single levels and only merges.
@@ -515,7 +523,7 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
         return stack
 
     def step(psi, t, h):
-        nonlocal reach, groups, peak_defect
+        nonlocal reach, groups
         stack = checked(t + h * _NODES)
         pattern = (stack != 0).any(axis=0)
         if (pattern > reach).any():  # merge it into the cached partition
@@ -535,18 +543,12 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
                 u, run = v[_ROT_NODE[rots]], x[:rots.size]
                 run[...] = u @ (phase[rots] * (u.mT.conj() @ run))
             chains[:, idx] = x[..., 0]
-        kept, error = _EXTRAPOLATION.T @ chains
-        before, after = (math.sqrt(np.vdot(s, s).real) for s in (psi, kept))
-        if after and math.isfinite(after):  # else the controller refuses it
-            peak_defect = max(peak_defect, abs(after / before - 1.0))
-            kept *= before / after
-        return kept, math.sqrt(np.vdot(error, error).real)
+        return chains
 
     times = np.asarray(sample_times, dtype=float)
     states = np.empty((times.size, n), dtype=np.complex128)
-    accepted, rejected, peak = _step_control(
-        step, 6, _EXTRAPOLATION_FLOOR, psi0.amplitudes, float(t_end), times,
-        tol, states.__setitem__)
+    accepted, rejected, peak, defect = _step_control(
+        step, psi0.amplitudes, float(t_end), times, tol, states.__setitem__)
     partition = " and ".join(
         f"{len(g)} block{'s' * (len(g) > 1)} of {g.shape[1]} "
         f"level{'s' * (g.shape[1] > 1)}" for g in groups)
@@ -554,7 +556,7 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
                  "defect %.2g before rescale, peak estimate %.2g of budget, "
                  "%d accepted, %d rejected steps, budget %g per unit step, %s",
                  " and ".join(sorted(arithmetic, reverse=True)), partition,
-                 peak_defect, peak, accepted, rejected, tol,
+                 defect, peak, accepted, rejected, tol,
                  _wall_time(start, accepted + rejected))
     return states
 

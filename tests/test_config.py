@@ -138,7 +138,7 @@ class TestParse:
         assert cfg.tolerance == 1e-10
         assert cfg.truncation is None
         assert cfg.husimi_times[-1] == pytest.approx(8 * math.pi)
-        assert cfg.half_width() == pytest.approx(8.0)
+        assert cfg.grid_half_width is None
 
     def test_confinement_bound_rejected(self):
         with pytest.raises(ConfigError, match="model.k"):

@@ -128,6 +128,16 @@ class TestEigenfunctions:
         q_peak = q[np.argmax(psi ** 2)]
         assert abs(q_peak - (-lam * math.sqrt(2.0))) < 2e-3
 
+    @pytest.mark.parametrize("drive", [DriveSpec.zero(),
+                                       DriveSpec.constant(0.5)],
+                             ids=["zero", "constant"])
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_scalar_q_gives_the_float_of_the_array_call(self, n, drive):
+        freq, q = FrequencySpec(1.0), 0.3
+        value = eigenfunction(n, q, drive, freq, 0.0)
+        assert type(value) is float
+        assert value == eigenfunction(n, np.array([q]), drive, freq, 0.0)[0]
+
     def test_hermite_recurrence_matches_scipy(self):
         from scipy.special import eval_hermite
         z = np.linspace(-2.0, 2.0, 9)

@@ -389,4 +389,6 @@ class TestHusimiSnapshot:
         sol = integrate_wei_norman(p, 2.0)
         g = husimi_snapshot(p, sol, 1.0, resolution=101)
         assert g.time == 1.0
+        # the default window is |alpha| + 5 on each side
+        assert g.x[0] == -(abs(p.alpha) + 5.0)
         assert abs(g.total_mass() - 1.0) < 1e-3

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kerrosc import oracle
 from kerrosc.driven import DriveSpec
 from kerrosc.evolution import ModelParams, evolved_state, integrate_wei_norman
 from kerrosc.fock import (
@@ -22,8 +23,10 @@ from kerrosc.integrators import StepSizeError
 from kerrosc.oracle import (
     OracleError,
     OracleRun,
+    _EXTRAPOLATION,
+    _SUBSTEPS,
     _chiral_model,
-    _extrapolated_step,
+    _strang_chains,
     _Workspace,
     fidelity,
     integrate_exact,
@@ -170,6 +173,7 @@ class TestIntegrateExact:
         assert run.budget == 1e-9
         assert (f"{run.accepted_steps} accepted, {run.rejected_steps} "
                 "rejected steps") in caplog.text
+        assert "peak norm defect" in caplog.text
         assert "peak norm drift" in caplog.text
         assert "peak boundary population" in caplog.text
         found = re.search(r"([\d.]+) s wall, ([\d.]+) us per attempted step",
@@ -200,6 +204,31 @@ class TestIntegrateExact:
         assert (run.accepted_steps, run.rejected_steps) == (steps, 0)
         assert f"{steps} accepted, 0 rejected steps, {tables} phase tables" \
             in caplog.text
+
+    def test_norm_defect_shows_a_kept_column_off_by_1e7(self, caplog,
+                                                           monkeypatch):
+        # T44 is not unitary, and the controller reports the defect its
+        # rescale removes: at rounding on the true tableau, and at the size
+        # of a T44 weight off by 1e-7 (the estimate column left as it is),
+        # while the rescaled states keep their norm either way
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
+
+        def defect():
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+                run = integrate_exact(p, coherent_state(3.0, 66), 1.0,
+                                      sample_times=np.linspace(0.0, 1.0, 11))
+            assert run.norm_drift.max() <= 1e-14
+            found = re.search(r"peak estimate [^,]+ of budget, peak norm "
+                              r"defect (\S+) before rescale, ", caplog.text)
+            return float(found.group(1))
+
+        assert defect() <= 1e-13
+        mutated = _EXTRAPOLATION.copy()
+        mutated[0, 0] += 1e-7
+        monkeypatch.setattr(oracle, "_EXTRAPOLATION", mutated)
+        assert defect() >= 1e-8
 
     def test_step_counts_pinned_in_the_fig2_regime(self):
         # a quarter of the fig. 2 run (chi = 0.25, alpha = 3, 66 levels) with
@@ -238,8 +267,8 @@ class TestIntegrateExact:
 
 
 class TestExactPair:
-    """The oracle's step, `_extrapolated_step`, and the (kept, estimate)
-    pair it returns."""
+    """The oracle's step, `_strang_chains`, the four chains it returns, and
+    their extrapolation in `_step_control`."""
 
     @staticmethod
     def strang_chain(psi, t, h, m, p, n):
@@ -271,9 +300,15 @@ class TestExactPair:
         return t[3], t43
 
     @staticmethod
+    def extrapolated(chains):
+        """T44 and the estimate |T44 - T43|, as `_step_control` forms them."""
+        kept, error = _EXTRAPOLATION.T @ chains
+        return kept, np.linalg.norm(error)
+
+    @staticmethod
     def model(chi, n):
         """The fig. 2 drive at this Kerr constant on n levels: the params
-        and `_extrapolated_step`'s arguments after (psi, t, h)."""
+        and `_strang_chains`'s arguments after (psi, t, h)."""
         p = ModelParams(omega0=1.0, chi=chi,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
         return p, (p.drive, _chiral_model(p, n))
@@ -290,11 +325,17 @@ class TestExactPair:
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi /= np.linalg.norm(psi)
         t, h = 1.3, 0.02
-        t44, t43 = self.neville(
-            [self.strang_chain(psi, t, h, m, p, n) for m in (1, 2, 3, 4)])
+        dense = {m: self.strang_chain(psi, t, h, m, p, n) for m in _SUBSTEPS}
         work = _Workspace(n)
-        kept, estimate = _extrapolated_step(psi, t, h, *args, work)
-        assert np.abs(kept - t44 / np.linalg.norm(t44)).max() < 1e-13
+        chains = _strang_chains(psi, t, h, *args, work)
+        # each chain as it ends, unnormalized, so an error in their common
+        # norm shows
+        assert chains.shape == (4, n)
+        for row, m in zip(chains, _SUBSTEPS):
+            assert np.abs(row - dense[m]).max() < 1e-13
+        t44, t43 = self.neville([dense[m] for m in (1, 2, 3, 4)])
+        kept, estimate = self.extrapolated(chains)
+        assert np.abs(kept - t44).max() < 1e-13
         assert abs(estimate - np.linalg.norm(t44 - t43)) < 1e-13
         # an odd basis's padding row (the last stacked row) ends exactly 0
         assert not work.x.reshape(-1, 4)[n:].any()
@@ -306,35 +347,34 @@ class TestExactPair:
         _, args = self.model(0.25, 66)
         psi = coherent_state(3.0, 66).amplitudes
         starts = np.linspace(0.0, 2 * math.pi, 9)[:-1]
-        sums = [sum(_extrapolated_step(psi, t, h, *args)[1] for t in starts)
-                for h in (0.08, 0.04)]
+        sums = [sum(self.extrapolated(_strang_chains(psi, t, h, *args))[1]
+                    for t in starts) for h in (0.08, 0.04)]
         assert 6.5 <= math.log2(sums[0] / sums[1]) <= 7.5
 
     def test_returns_fresh_arrays_from_a_reused_workspace(self):
         _, args = self.model(0.25, 30)
         psi = coherent_state(1.0, 30).amplitudes
         work = _Workspace(30)
-        first = _extrapolated_step(psi, 0.5, 0.01, *args, work)
-        kept = first[0].copy()
-        second = _extrapolated_step(first[0], 0.51, 0.01, *args, work)
-        assert not np.shares_memory(psi, first[0])
-        assert not np.shares_memory(psi, second[0])
-        assert not np.shares_memory(first[0], second[0])
-        # the second call leaves the first call's state as it was, and a
+        first = _strang_chains(psi, 0.5, 0.01, *args, work)
+        kept = first.copy()
+        second = _strang_chains(first[0], 0.51, 0.01, *args, work)
+        for chains in (first, second):
+            assert not np.shares_memory(chains, work.x)
+            assert not np.shares_memory(chains, psi)
+        assert not np.shares_memory(first, second)
+        # the second call leaves the first call's chains as they were, and a
         # reused workspace gives what a fresh one gives
-        assert np.array_equal(first[0], kept)
-        fresh = _extrapolated_step(kept, 0.51, 0.01, *args)
-        assert np.array_equal(second[0], fresh[0])
-        assert second[1] == fresh[1]
+        assert np.array_equal(first, kept)
+        assert np.array_equal(second, _strang_chains(kept[0], 0.51, 0.01,
+                                                     *args))
         # lengths h', h'' and h again: h'' evicts h's phase table from the
         # two slots and h refills one, each step bit-equal to a fresh one
-        t, state = 0.52, second[0]
+        t, state = 0.52, self.extrapolated(second)[0]
         for h in (0.02, 0.03, 0.01):
-            reused = _extrapolated_step(state, t, h, *args, work)
-            fresh = _extrapolated_step(state, t, h, *args)
-            assert np.array_equal(reused[0], fresh[0])
-            assert reused[1] == fresh[1]
-            t, state = t + h, reused[0]
+            reused = _strang_chains(state, t, h, *args, work)
+            assert not np.shares_memory(reused, work.x)
+            assert np.array_equal(reused, _strang_chains(state, t, h, *args))
+            t, state = t + h, self.extrapolated(reused)[0]
         assert work.fills == 4
 
     def test_runs_at_other_truncations_leave_no_trace(self):
@@ -509,6 +549,17 @@ class TestSchrodingerPropagator:
         ref = integrate_exact(p, psi0, 2.0, tol=1e-10, sample_times=ts)
         assert got.shape == ref.states.shape
         assert np.abs(got - ref.states).max() < 1e-9
+
+    def test_samples_keep_the_norm_of_an_unnormalized_state(self):
+        # one norm rule for both propagators: every kept state is rescaled
+        # to psi0's norm, here 2, on an H(t) whose terms do not commute
+        psi0 = FockState(np.array([1.2, 1.6j]))
+        states = integrate_schrodinger(
+            lambda t: np.array([[1.0, 0.5 * math.cos(t)],
+                                [0.5 * math.cos(t), -1.0]]),
+            psi0, 5.0, tol=1e-9, sample_times=np.linspace(0.0, 5.0, 11))
+        assert np.abs(np.linalg.norm(states, axis=1)
+                      - psi0.norm()).max() <= 1e-14
 
     def test_budget_under_rounding_floor_refused_at_once(self):
         start = time.perf_counter()
