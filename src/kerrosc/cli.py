@@ -32,7 +32,8 @@ from .fock import (SUPPORT_MARGIN, TruncationError, _row_blocks,
                    coherent_state, default_truncation)
 from .integrators import StepSizeError
 from .kerr_states import KerrStateParams, quadrature_variance_ratios
-from .observables import autocorrelation_series, husimi_snapshot
+from .observables import (autocorrelation_series, detect_revivals,
+                          husimi_snapshot)
 from .oracle import OracleError, _exact_blocks
 from .timemap import heisenberg_coefficients, rescaled_time, transformed_frequency
 
@@ -130,10 +131,25 @@ def _write_csv_body(f, rows: np.ndarray):
         f.write(row * len(block) % tuple(cells.ravel().tolist()))
 
 
-def _model_params(cfg: ScenarioConfig) -> ModelParams:
-    """The config's model.  Its one warning, chi/omega0 above 0.5, goes to
-    stderr as a line naming `model.chi`, not as a warning naming this line."""
-    drive = cfg.drive()
+def _sampled(spec, times, key: str):
+    """spec, a tabulated one checked at the times the run samples it: one
+    outside its window is a ConfigError naming `key`, the config key those
+    times come from."""
+    try:
+        spec(np.asarray(times, dtype=float))
+    except ValueError as exc:  # past a tabulated drive's or mass's window
+        raise ConfigError(f"{key}: {exc}") from exc
+    return spec
+
+
+def _model_params(cfg: ScenarioConfig, t_end: float | None = None,
+                  key: str = "time.t_end") -> ModelParams:
+    """The config's model, its drive sampled over [0, t_end] (default
+    `time.t_end`; a window that misses it names `key`).  Its one warning,
+    chi/omega0 above 0.5, goes to stderr as a line naming `model.chi`, not
+    as a warning naming this line."""
+    drive = _sampled(cfg.drive(), (0.0, cfg.t_end if t_end is None
+                                   else t_end), key)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         params = ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=drive,
@@ -220,15 +236,15 @@ def run_autocorr(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
         raise ConfigError("time.samples: revival detection needs at least 3")
     params = _model_params(cfg)
     sol = integrate_wei_norman(params, cfg.t_end, samples=cfg.samples)
-    series = autocorrelation_series(params, sol).with_revivals(
-        cfg.revival_threshold)
+    series = autocorrelation_series(params, sol)
+    revivals = detect_revivals(series, cfg.revival_threshold)
     rows = np.column_stack([
         series.times, cfg.omega0 * series.times,
         series.values.real, series.values.imag, series.abs_squared,
     ])
     write("autocorr", ["t", "tau", "re_F", "im_F", "abs2_F"], rows,
           {"revival_times": "[" + ", ".join(
-              f"{t:.12g}" for t in series.revival_times) + "]"})
+              f"{t:.12g}" for t in revivals) + "]"})
 
 
 def _interpolated_solution(sol, t: float) -> WeiNormanSolution:
@@ -247,12 +263,8 @@ def _interpolated_solution(sol, t: float) -> WeiNormanSolution:
 
 
 def run_husimi(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
-    params = _model_params(cfg)
     t_max = max(tau / cfg.omega0 for tau in cfg.husimi_times)
-    try:
-        params.drive(t_max)
-    except ValueError as exc:  # past a tabulated drive's window
-        raise ConfigError(f"husimi.times: {exc}") from exc
+    params = _model_params(cfg, t_max, "husimi.times")
     sol = integrate_wei_norman(params, max(t_max, 1e-12), samples=cfg.samples)
     n_trunc = trunc if trunc is not None else _auto_truncation(cfg, sol)
     for idx, tau in enumerate(cfg.husimi_times):
@@ -269,20 +281,18 @@ def run_husimi(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
 
 
 def run_spectrum(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
-    drive, freq = cfg.drive(), cfg.frequency()
+    drive = _sampled(cfg.drive(), cfg.spectrum_times, "spectrum.times")
+    freq = cfg.frequency()
     n, t = np.meshgrid(np.arange(cfg.spectrum_n_max + 1), cfg.spectrum_times)
-    try:
-        columns = [n, t, energy_level(n, drive, freq, t),
-                   displacement_amplitude(drive, freq, t)]
-    except ValueError as exc:  # past a tabulated drive's window
-        raise ConfigError(f"spectrum.times: {exc}") from exc
+    columns = [n, t, energy_level(n, drive, freq, t),
+               displacement_amplitude(drive, freq, t)]
     write("spectrum", ["n", "t", "E_n", "lambda_t"],
           np.column_stack([c.ravel() for c in columns]), {})
 
 
 def run_timemap(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
-    mass, freq = cfg.mass(), cfg.frequency()
     times = np.linspace(0.0, cfg.t_end, cfg.samples)
+    mass, freq = _sampled(cfg.mass(), times, "time.t_end"), cfg.frequency()
     cols = ["t", "tau", "mass", "omega_star"]
     columns = [times, rescaled_time(mass, times), mass(times),
                transformed_frequency(mass, freq, times)]
@@ -300,22 +310,23 @@ def run_timemap(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
 # Each override flag: the config key it replaces, and that key's type.
 _OVERRIDES = {"--tol": ("tolerance", float), "--trunc": ("truncation", int)}
 
-# The config keys the Wei-Norman solve reads; it runs at the kernel's floor.
-_DYNAMICS = ("model.omega0", "model.chi", "model.alpha", "drive", "time")
+# The config keys of the model the Wei-Norman solve runs at the kernel's
+# floor, to time.t_end but for husimi, which stops at its last snapshot.
+_MODEL = ("model.omega0", "model.chi", "model.alpha", "drive")
 
 # Each subcommand's runner and the config keys it reads; a section name
 # covers all its keys.  The parser offers an override just where its key is
 # read, and main refuses any other key that a config sets away from its
-# default, so no value can change a header and nothing else.  husimi and
-# spectrum read time.t_end only through the config's tabulated-window check.
+# default, so no value can change a header and nothing else.
 SUBCOMMANDS = {
-    "simulate": (run_simulate, _DYNAMICS),
-    "oracle": (run_oracle, (*_DYNAMICS, "tolerance", "truncation")),
+    "simulate": (run_simulate, (*_MODEL, "time")),
+    "oracle": (run_oracle, (*_MODEL, "time", "tolerance", "truncation")),
     "variances": (run_variances, ("model.omega0", "variances")),
-    "autocorr": (run_autocorr, (*_DYNAMICS, "revival_threshold")),
-    "husimi": (run_husimi, (*_DYNAMICS, "grid", "husimi", "truncation")),
+    "autocorr": (run_autocorr, (*_MODEL, "time", "revival_threshold")),
+    "husimi": (run_husimi, (*_MODEL, "time.samples", "grid", "husimi",
+                            "truncation")),
     "spectrum": (run_spectrum, ("model.omega0", "model.k", "drive",
-                                "time.t_end", "spectrum")),
+                                "spectrum")),
     "timemap": (run_timemap, ("model.omega0", "model.k", "mass", "time")),
 }
 

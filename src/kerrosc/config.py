@@ -284,15 +284,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if values["variances_xi_max"] <= values["variances_xi_min"]:
         raise ConfigError("variances.xi_max: must exceed variances.xi_min")
     for section in _SPECS:
-        times, t_end = values[f"{section}_times"], values["t_end"]
-        if values[f"{section}_kind"] == "tabulated" and (
-                times is None or values[f"{section}_values"] is None):
+        if values[f"{section}_kind"] == "tabulated" and None in (
+                values[f"{section}_times"], values[f"{section}_values"]):
             raise ConfigError(f"{section}: tabulated kind requires 'times' "
                               "and 'values'")
-        if times is not None and (times[0] > 0.0 or times[-1] < t_end):
-            raise ConfigError(f"{section}.times: tabulated window [{times[0]:g}, "
-                              f"{times[-1]:g}] must cover the simulation "
-                              f"window [0, {t_end:g}]")
     cfg = ScenarioConfig(**values)
     # Constructing the module specs re-runs their own validity checks.
     for section, spec in (("drive", cfg.drive), ("mass", cfg.mass)):

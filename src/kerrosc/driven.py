@@ -250,7 +250,7 @@ def displaced_number_state(n: int, lam: float, n_trunc: int) -> FockState:
             f"displaced state reaches the truncation boundary "
             f"(top-level population {top:.3e}); increase n_trunc={n_trunc}")
     norm = np.linalg.norm(amps)
-    return FockState(amps / norm, normalized=True, renormalized=True)
+    return FockState(amps / norm, normalized=True)
 
 
 def hamiltonian_matrix(drive: DriveSpec, frequency: FrequencySpec, t: float,

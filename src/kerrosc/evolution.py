@@ -285,7 +285,7 @@ def evolved_state(params: ModelParams, sol: WeiNormanSolution, t: float,
     x1, x3, eta, n_trunc = _checked_coefficients(params, sol, t, n_trunc)
     amps = _evolved_amplitudes(params, t, x1, x3, eta, n_trunc)
     amps /= np.linalg.norm(amps)
-    return FockState(amps, normalized=True, renormalized=True)
+    return FockState(amps, normalized=True)
 
 
 def _checked_coefficients(params: ModelParams, sol: WeiNormanSolution, t,

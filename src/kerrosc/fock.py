@@ -90,15 +90,12 @@ class FockState:
         Complex amplitudes; made read-only on construction.
     normalized : bool
         Marks states of unit norm within UNIT_NORM_TOL (1e-9); a vector
-        further from it is refused with ValueError.
-    renormalized : bool
-        Set by the function that built the state when it rescaled the
-        truncated amplitudes to unit norm; the constructor never rescales.
+        further from it is refused with ValueError; the constructor never
+        rescales.
     """
 
     amplitudes: np.ndarray
     normalized: bool = False
-    renormalized: bool = False
 
     def __post_init__(self):
         _freeze(self, ("amplitudes",), np.complex128, copy=True)
@@ -160,16 +157,16 @@ def identity_operator(n_trunc: int) -> FockOperator:
     return FockOperator(np.eye(n_trunc, dtype=np.complex128))
 
 
-def position_operator(n_trunc: int, omega: float = 1.0) -> FockOperator:
-    """q = (a + a^dag) / sqrt(2 omega) for ladder operators built at `omega`."""
+def position_operator(n_trunc: int) -> FockOperator:
+    """q = (a + a^dag) / sqrt(2)."""
     a = annihilation_operator(n_trunc).matrix
-    return FockOperator((a + a.conj().T) / math.sqrt(2.0 * omega))
+    return FockOperator((a + a.conj().T) / math.sqrt(2.0))
 
 
-def momentum_operator(n_trunc: int, omega: float = 1.0) -> FockOperator:
-    """p = i sqrt(omega / 2) (a^dag - a)."""
+def momentum_operator(n_trunc: int) -> FockOperator:
+    """p = i (a^dag - a) / sqrt(2)."""
     a = annihilation_operator(n_trunc).matrix
-    return FockOperator(1j * math.sqrt(omega / 2.0) * (a.conj().T - a))
+    return FockOperator(1j * math.sqrt(0.5) * (a.conj().T - a))
 
 
 def displacement_operator(alpha: complex, n_trunc: int) -> FockOperator:
@@ -265,7 +262,7 @@ def coherent_state(alpha: complex, n_trunc: int | None = None) -> FockState:
     """
     amps = coherent_amplitudes(alpha, checked_truncation(alpha, n_trunc))
     amps /= np.linalg.norm(amps)
-    return FockState(amps, normalized=True, renormalized=True)
+    return FockState(amps, normalized=True)
 
 
 def number_state(n: int, n_trunc: int) -> FockState:

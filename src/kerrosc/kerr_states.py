@@ -63,7 +63,7 @@ def kerr_state(params: KerrStateParams, n_trunc: int | None = None) -> FockState
     """
     amps = coherent_state(params.beta, n_trunc).amplitudes
     kerr_phase = np.exp(-1j * float(params.xi) * np.arange(amps.size) ** 2)
-    return FockState(amps * kerr_phase, normalized=True, renormalized=True)
+    return FockState(amps * kerr_phase, normalized=True)
 
 
 def deformed_ladder(xi: float, n_trunc: int) -> FockOperator:

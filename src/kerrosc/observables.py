@@ -46,14 +46,10 @@ _HORNER_BIG = 1e150
 
 @dataclass(frozen=True)
 class AutocorrSeries:
-    """Sampled overlap F(t) between the evolved and the initial state.
-
-    `revival_times` holds the detected revivals once `with_revivals` has run.
-    """
+    """Sampled overlap F(t) between the evolved and the initial state."""
 
     times: np.ndarray
     values: np.ndarray
-    revival_times: np.ndarray | None = None
 
     def __post_init__(self):
         _freeze(self, ("times",), float)
@@ -64,11 +60,6 @@ class AutocorrSeries:
     @property
     def abs_squared(self) -> np.ndarray:
         return np.abs(self.values) ** 2
-
-    def with_revivals(self, threshold: float) -> "AutocorrSeries":
-        """Copy of the series with `revival_times` filled at `threshold`."""
-        return AutocorrSeries(times=self.times, values=self.values,
-                              revival_times=detect_revivals(self, threshold))
 
 
 def autocorrelation(params: ModelParams, sol: WeiNormanSolution,
@@ -122,8 +113,12 @@ def detect_revivals(series: AutocorrSeries, threshold: float) -> np.ndarray:
 
 
 def _median5(x: np.ndarray) -> np.ndarray:
-    """5-point running median with zero padding at both ends."""
-    return np.median(sliding_window_view(np.pad(x, 2), 5), axis=1)
+    """5-point running median with zero padding at both ends: the middle of
+    each window by `np.partition`, NaN where the window holds one, as
+    `np.median` gives without importing `numpy.ma` for its NaN check."""
+    windows = sliding_window_view(np.pad(x, 2), 5)
+    middle = np.partition(windows, 2, axis=1)[:, 2]
+    return np.where(np.isnan(windows).any(axis=1), np.nan, middle)
 
 
 def _find_peaks(x: np.ndarray, height: float) -> np.ndarray:
@@ -151,7 +146,6 @@ class PhaseSpaceGrid:
     x: np.ndarray
     y: np.ndarray
     values: np.ndarray
-    time: float | None = None
 
     def __post_init__(self):
         _freeze(self, ("x", "y", "values"), float)
@@ -169,8 +163,8 @@ class PhaseSpaceGrid:
 
 
 def husimi_grid(state: FockState, x_range: tuple[float, float],
-                y_range: tuple[float, float], resolution: int | tuple[int, int],
-                time: float | None = None) -> PhaseSpaceGrid:
+                y_range: tuple[float, float],
+                resolution: int | tuple[int, int]) -> PhaseSpaceGrid:
     """Husimi function Q(gamma) = |<gamma|psi>|^2 / pi on a rectangular grid.
 
     The conjugate overlap e^{-|gamma|^2/2} sum_n conj(psi_n) gamma^n / sqrt(n!)
@@ -191,8 +185,6 @@ def husimi_grid(state: FockState, x_range: tuple[float, float],
         Extents of Re gamma and Im gamma.
     resolution : int or (int, int)
         Samples per axis (at least 2 per axis).
-    time : float, optional
-        Simulation-time stamp stored on the grid.
     """
     if isinstance(resolution, tuple):
         nx, ny = resolution
@@ -225,7 +217,7 @@ def husimi_grid(state: FockState, x_range: tuple[float, float],
     log_gauss = rescaled * math.log(_HORNER_BIG) - 0.5 * np.abs(gamma) ** 2
     # |.|^2 of a complex number: Q >= 0 by construction
     q = (np.abs(acc) * np.exp(log_gauss)) ** 2 / math.pi
-    return PhaseSpaceGrid(x=x, y=y, values=q, time=time)
+    return PhaseSpaceGrid(x=x, y=y, values=q)
 
 
 def husimi_expectation(grid: PhaseSpaceGrid, samples: np.ndarray) -> complex:
@@ -279,4 +271,4 @@ def husimi_snapshot(params: ModelParams, sol: WeiNormanSolution, t: float,
     if half_width is None:
         half_width = abs(params.alpha) + 5.0
     rng = (-half_width, half_width)
-    return husimi_grid(state, rng, rng, resolution, time=t)
+    return husimi_grid(state, rng, rng, resolution)

@@ -16,8 +16,9 @@ from kerrosc.fock import _BLOCK_CELLS, coherent_state
 from kerrosc.oracle import _exact_blocks, fidelity, integrate_exact
 
 # The keys of the Wei-Norman solve, which simulate, oracle, autocorr and
-# husimi read.  A subcommand refuses a key it does not read, so each has
-# its config in CONFIGS; only oracle reads tolerance.
+# husimi read (husimi all but time.t_end: it solves to its last snapshot).
+# A subcommand refuses a key it does not read, so each has its config in
+# CONFIGS; only oracle reads tolerance.
 FAST_MODEL = """
 model:
   omega0: 1.0
@@ -58,8 +59,8 @@ CONFIGS = {
     "oracle": ORACLE_MODEL,
     "variances": "model: {omega0: 1.0}\nvariances: {samples: 101}\n",
     "autocorr": FAST_MODEL,
-    "husimi": FAST_MODEL + "grid: {resolution: 61}\n"
-                           "husimi: {times: [0.0, 1.5]}\n",
+    "husimi": FAST_MODEL.replace("t_end: 3.0, ", "")
+    + "grid: {resolution: 61}\nhusimi: {times: [0.0, 1.5]}\n",
     "spectrum": "model: {omega0: 1.0}\ndrive: cos\n",
     "timemap": TIMEMAP_MODEL,
 }
@@ -490,10 +491,11 @@ class TestExitCodes:
         ("oracle", "--tol", "-1", "must be positive"),
     ], ids=["tol-nan", "tol-inf", "trunc-negative", "trunc-zero",
             "oracle-tol-zero", "oracle-tol-negative"])
-    def test_overrides_pass_the_config_checks(self, cfg_file, tmp_path, capsys,
-                                              command, flag, value, message):
+    def test_overrides_pass_the_config_checks(self, config_of, tmp_path,
+                                              capsys, command, flag, value,
+                                              message):
         # --tol and --trunc are checked like the tolerance and truncation keys
-        assert main([command, "--config", str(cfg_file),
+        assert main([command, "--config", str(config_of(command)),
                      "--out", str(tmp_path), flag, value]) == 2
         assert f"error[config]: {flag}: {message}" in capsys.readouterr().err
 
@@ -541,6 +543,7 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 0
         capsys.readouterr()
+        cfg.write_text(TABULATED_DRIVE_MODEL.replace("t_end: 3.0, ", ""))
         assert main(["husimi", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -550,12 +553,53 @@ class TestExitCodes:
                                                                 capsys):
         cfg = tmp_path / "tab.yaml"
         cfg.write_text("model: {omega0: 1.0}" + TABULATED_DRIVE
-                       + "time: {t_end: 3.0}\n"
-                       "spectrum: {times: [0.0, 1.5, 4.0]}\n")
+                       + "spectrum: {times: [0.0, 1.5, 4.0]}\n")
         assert main(["spectrum", "--config", str(cfg),
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error[config]: spectrum.times: drive sampled outside" in err
+
+    @pytest.mark.parametrize("command, text, message", [
+        *((command, TABULATED_DRIVE_MODEL.replace("t_end: 3.0", "t_end: 5.0"),
+           "time.t_end: drive sampled outside its tabulated window [0, 3]")
+          for command in ("simulate", "oracle", "autocorr")),
+        ("timemap",
+         "model: {omega0: 1.0}\n"
+         "mass: {kind: tabulated, times: [0.0, 1.0, 2.0, 3.0],\n"
+         "       values: [1.0, 1.1, 1.2, 1.3]}\n"
+         "time: {t_end: 5.0, samples: 41}\n",
+         "time.t_end: mass sampled outside its tabulated window [0, 3]"),
+        ("husimi",
+         "model: {omega0: 1.0, chi: 0.1}\n"
+         "drive: {kind: tabulated, times: [0.5, 1.0, 2.0],\n"
+         "        values: [0.0, 0.4, -0.2]}\n"
+         "husimi: {times: [1.0, 2.0]}\n",
+         "husimi.times: drive sampled outside its tabulated window [0.5, 2]"),
+    ], ids=["simulate", "oracle", "autocorr", "timemap", "husimi-start"])
+    def test_tabulated_window_missing_a_sampled_time_names_its_key(
+            self, tmp_path, capsys, command, text, message):
+        # each run checks the window at the times it samples: [0, t_end]
+        # for the dynamics and the time map, [0, last snapshot] for husimi,
+        # and names the key those times come from before writing anything
+        cfg = tmp_path / "tab.yaml"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error[config]: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, keys", [
+        ("husimi", "grid: {resolution: 21}\nhusimi: {times: [0.0, 1.5, 3.0]}\n"),
+        ("spectrum", "spectrum: {times: [0.0, 1.5, 3.0]}\n"),
+    ])
+    def test_tabulated_window_covering_the_sampled_times_runs(
+            self, tmp_path, command, keys):
+        # the window [0, 3] misses time.t_end's default, 8 pi, which
+        # neither subcommand reads
+        cfg = tmp_path / "tab.yaml"
+        cfg.write_text("model: {omega0: 1.0}" + TABULATED_DRIVE + keys)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("command, text, message", [
         ("spectrum",
@@ -636,6 +680,12 @@ class TestUnreadKeys:
          "(read by: simulate, oracle, autocorr, husimi)"),
         ("husimi", "model.k", 0.2, 0.0,
          "model.k: 0.2 is not read by husimi (read by: spectrum, timemap)"),
+        ("husimi", "time.t_end", 5.0, 8.0 * math.pi,
+         "time.t_end: 5.0 is not read by husimi "
+         "(read by: simulate, oracle, autocorr, timemap)"),
+        ("spectrum", "time.t_end", 5.0, 8.0 * math.pi,
+         "time.t_end: 5.0 is not read by spectrum "
+         "(read by: simulate, oracle, autocorr, timemap)"),
     ]
     IDS = [f"{case[0]}-{case[1]}" for case in CASES]
 

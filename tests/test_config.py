@@ -192,14 +192,6 @@ class TestParse:
         with pytest.raises(ConfigError, match="tabulated"):
             parse_config("model: {omega0: 1.0}\ndrive: {kind: tabulated}")
 
-    def test_tabulated_window_must_cover_simulation(self):
-        with pytest.raises(ConfigError, match="cover the simulation"):
-            parse_config("""
-model: {omega0: 1.0}
-drive: {kind: tabulated, times: [0.0, 1.0], values: [0.0, 1.0]}
-time: {t_end: 5.0}
-""")
-
     def test_negative_snapshot_times_rejected(self):
         with pytest.raises(ConfigError, match="husimi.times"):
             parse_config("model: {omega0: 1.0}\nhusimi: {times: [-1.0]}")

@@ -68,7 +68,7 @@ class TestCoherentState:
     def test_norm_is_unity_after_renormalization(self):
         s = coherent_state(2.0 - 1.5j)
         assert abs(s.norm() - 1.0) < 1e-12
-        assert s.normalized and s.renormalized
+        assert s.normalized
 
     def test_rejects_too_small_truncation(self):
         with pytest.raises(TruncationError):

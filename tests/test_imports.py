@@ -24,6 +24,21 @@ def test_cli_import_loads_no_scipy():
     assert loaded("import kerrosc.cli", ("scipy", "numpy.polynomial")) == []
 
 
+def test_autocorr_run_loads_no_numpy_ma(tmp_path):
+    # np.median's NaN check imports numpy.ma, 16-19 ms in a fresh
+    # interpreter; the revival filter takes its medians by np.partition
+    cfg = tmp_path / "autocorr.yaml"
+    cfg.write_text("model: {omega0: 1.0, chi: 0.25, alpha: 1.0}\n"
+                   "drive: cos\ntime: {t_end: 3.0, samples: 121}\n")
+    code = ("import os, sys; from kerrosc.cli import main; "
+            "sys.stdout = open(os.devnull, 'w'); "
+            f"code = main(['autocorr', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); "
+            "sys.stdout = sys.__stdout__; assert code == 0")
+    assert loaded(code, ("numpy.ma",)) == []
+    assert (tmp_path / "out" / "autocorr.csv").exists()
+
+
 def test_timemap_loads_scipy_only_for_a_tabulated_mass():
     assert loaded("import kerrosc.timemap", ("scipy",)) == []
     tabulated = loaded("import kerrosc.timemap as tm; "
