@@ -206,9 +206,8 @@ def run_oracle(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
         fid[part] = np.abs(np.vecdot(exact, model)) ** 2 / (
             np.vecdot(exact, exact).real * np.vecdot(model, model).real)
 
-    accepted, rejected = _exact_blocks(
-        params, coherent_state(params.alpha, n_trunc), cfg.t_end, tol, times,
-        reduce)
+    steps = _exact_blocks(params, coherent_state(params.alpha, n_trunc),
+                          cfg.t_end, tol, times, reduce)
     # the factorized state's tail check after the oracle's guard, which
     # names the sample time where a too small basis is reached
     _checked_coefficients(params, sol, times, n_trunc)
@@ -217,8 +216,8 @@ def run_oracle(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     write("oracle", cols + ["norm_drift", "fidelity"],
           np.column_stack([rows, drift, fid]),
           {"truncation": n_trunc,
-           "oracle_steps": f"accepted={accepted} rejected={rejected} "
-                           f"budget={tol:g}",
+           "oracle_steps": f"accepted={steps.accepted} rejected="
+                           f"{steps.rejected} budget={steps.budget:g}",
            "fidelity_min": f"{float(fid[worst])} at t={float(times[worst])}",
            "norm_drift_max": float(drift.max())})
 

@@ -37,6 +37,7 @@ from .integrators import StepSizeError
 __all__ = [
     "OracleError",
     "OracleRun",
+    "StepRecord",
     "integrate_exact",
     "integrate_schrodinger",
     "fidelity",
@@ -105,19 +106,39 @@ class OracleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OracleRun:
-    """Sampled exact evolution with its norm-drift record and step counts.
+class StepRecord:
+    """What one `_step_control` run did: accepted and rejected steps, the
+    budget per unit step (tol), the peak accepted estimate as a fraction of
+    its budget, the peak norm defect |norm ratio - 1| the rescale removed
+    and wall seconds.  `str` is their one text, in both DEBUG lines."""
 
-    `budget` is the error budget per unit step the run was held to."""
+    accepted: int
+    rejected: int
+    budget: float
+    peak: float
+    defect: float
+    seconds: float
+
+    def __str__(self):
+        attempted = self.accepted + self.rejected
+        per_step = 1e6 * self.seconds / attempted if attempted else 0.0
+        return (f"{self.accepted} accepted, {self.rejected} rejected steps, "
+                f"budget {self.budget:g} per unit step, peak estimate "
+                f"{self.peak:.2g} of budget, peak norm defect "
+                f"{self.defect:.2g} before rescale, {self.seconds:.3f} s "
+                f"wall, {per_step:.1f} us per attempted step")
+
+
+@dataclass(frozen=True)
+class OracleRun:
+    """Sampled exact evolution with its norm-drift record and `StepRecord`."""
 
     params: ModelParams
     n_trunc: int
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n_trunc), Schrodinger picture
     norm_drift: np.ndarray
-    accepted_steps: int
-    rejected_steps: int
-    budget: float
+    steps: StepRecord
 
     def __post_init__(self):
         _freeze(self, ("times", "states", "norm_drift"))
@@ -240,18 +261,12 @@ def _strang_chains(psi, t, h, drive, model, work=None):
     return work.x.reshape(-1, 4).T[:, rows]
 
 
-def _wall_time(start: float, attempted: int) -> str:
-    """Telemetry: wall seconds since start, and per attempted step."""
-    wall = time.perf_counter() - start
-    per_step = 1e6 * wall / attempted if attempted else 0.0
-    return f"{wall:.3f} s wall, {per_step:.1f} us per attempted step"
-
-
 def _step_control(chains, psi0, t_end: float, times: np.ndarray, tol: float,
-                  take) -> tuple:
+                  take) -> StepRecord:
     """Step from psi0 at t = 0 through the sorted sample times; returns the
-    accepted and rejected step counts, the peak accepted estimate as a
-    fraction of its budget, and the peak norm defect of the accepted steps.
+    run's `StepRecord` (accepted, rejected, budget, peak, defect, seconds
+    timed from the call), which `OracleRun.steps`, both DEBUG log records'
+    `steps` and the `oracle_steps` header read.
 
     The states at times[part] go to take(part, states) as each `_row_blocks`
     block fills, in a fresh (rows, levels) array, so a run holds one block
@@ -273,6 +288,7 @@ def _step_control(chains, psi0, t_end: float, times: np.ndarray, tol: float,
     the floor.  OracleError when a step's estimate is not finite: the state
     is lost.
     """
+    start = time.perf_counter()
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if t_end < 0.0:
@@ -321,21 +337,22 @@ def _step_control(chains, psi0, t_end: float, times: np.ndarray, tol: float,
                     h = length * min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
             block[row] = psi
         take(part, block)
-    return accepted, rejected, peak, defect
+    return StepRecord(accepted, rejected, tol, peak, defect,
+                      time.perf_counter() - start)
 
 
 def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
-                  tol: float, times: np.ndarray, take) -> tuple[int, int]:
+                  tol: float, times: np.ndarray, take) -> StepRecord:
     """`integrate_exact`'s run, handing take(part, states, norm_drift) each
-    block of sample states once it passed the guard; returns the accepted
-    and rejected step counts.
+    block of sample states once it passed the guard; returns the run's
+    `StepRecord`, which `integrate_exact` keeps as `OracleRun.steps` and
+    `kerrosc oracle` writes as its `oracle_steps` header.
 
     The guard checks each block as it lands and raises OracleError at the
     first sample past a bound, naming its time: a norm drift beyond
     `_NORM_DRIFT_LIMIT`, or a top-level population beyond
     BOUNDARY_POPULATION.
     """
-    start = time.perf_counter()
     if abs(psi0.norm() - 1.0) > UNIT_NORM_TOL:
         raise ValueError("initial state must be normalized")
     n_trunc = psi0.n_trunc
@@ -373,15 +390,11 @@ def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
                 f"(top-level population {top[k]:.3e})")
         take(part, states, drift)
 
-    accepted, rejected, peak, defect = _step_control(
-        chains, psi0.amplitudes, t_end, times, tol, guarded)
-    logger.debug("integrate_exact: %d accepted, %d rejected steps, %d phase "
-                 "tables, budget %g per unit step, peak estimate %.2g of "
-                 "budget, peak norm defect %.2g before rescale, peak norm "
-                 "drift %.3e, peak boundary population %.3e, %s", accepted,
-                 rejected, work.fills, tol, peak, defect, peak_drift, peak_top,
-                 _wall_time(start, accepted + rejected))
-    return accepted, rejected
+    steps = _step_control(chains, psi0.amplitudes, t_end, times, tol, guarded)
+    logger.debug("integrate_exact: %d phase tables, peak norm drift %.3e, "
+                 "peak boundary population %.3e, %s", work.fills, peak_drift,
+                 peak_top, steps, extra={"steps": steps})
+    return steps
 
 
 def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
@@ -396,9 +409,9 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
     that sets the step.  One `_strang_chains` call runs the chains, with V
     in its chiral form, and `_step_control` extrapolates them; the
     energy-phase tables of the last two step lengths are kept.  The DEBUG
-    line counts those filled, and reports the peak estimate as a fraction
-    of its budget and the peak norm defect |norm - 1| the rescale removed
-    from an accepted step (5.8e-15 on the fig. 2 run).
+    line counts those filled, then prints the run's `StepRecord`, kept as
+    `OracleRun.steps` and the log record's `steps` (peak norm defect
+    5.8e-15 on the fig. 2 run).
 
     Parameters
     ----------
@@ -445,11 +458,9 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
     def keep(part, block, block_drift):
         states[part], drift[part] = block, block_drift
 
-    accepted, rejected = _exact_blocks(params, psi0, t_end, tol, times, keep)
+    steps = _exact_blocks(params, psi0, t_end, tol, times, keep)
     return OracleRun(params=params, n_trunc=psi0.n_trunc, times=times,
-                     states=states, norm_drift=drift,
-                     accepted_steps=accepted, rejected_steps=rejected,
-                     budget=tol)
+                     states=states, norm_drift=drift, steps=steps)
 
 
 def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
@@ -461,12 +472,12 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
     exponential midpoint substep exp(-i tau H(t + c h)): H at the step's 9
     distinct midpoints c is checked as one stack and put through one
     stacked `eigh` per block size.  The kept state is rescaled to psi0's
-    norm, as in `integrate_exact`, so every sample keeps that norm; the
-    DEBUG line reports the peak defect |norm ratio - 1| this removed from
-    an accepted step, the peak estimate as a fraction of its budget and the
-    final partition: the connected components of the exact nonzero pattern
-    of every H seen, so a coupling that switches on mid-run is never
-    dropped.
+    norm, as in `integrate_exact`.  The DEBUG line reports the arithmetic
+    and the final partition: the connected components of the exact nonzero
+    pattern of every H seen, so a coupling that switches on mid-run is
+    never dropped.  Then it prints the run's `StepRecord`, also carried as
+    the log record's `steps`, with the peak defect |norm ratio - 1| the
+    rescale removed from an accepted step.
 
     Parameters
     ----------
@@ -495,7 +506,6 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
         If H(t) is not a finite n x n matrix, Hermitian within rounding
         (`eigh` reads one triangle), naming the earliest such t of the step.
     """
-    start = time.perf_counter()
     if sample_times is None:
         sample_times = np.array([t_end])
 
@@ -549,17 +559,14 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
 
     times = np.asarray(sample_times, dtype=float)
     states = np.empty((times.size, n), dtype=np.complex128)
-    accepted, rejected, peak, defect = _step_control(
-        step, psi0.amplitudes, float(t_end), times, tol, states.__setitem__)
+    steps = _step_control(step, psi0.amplitudes, float(t_end), times, tol,
+                          states.__setitem__)
     partition = " and ".join(
         f"{len(g)} block{'s' * (len(g) > 1)} of {g.shape[1]} "
         f"level{'s' * (g.shape[1] > 1)}" for g in groups)
-    logger.debug("integrate_schrodinger (%s arithmetic): %s, peak norm "
-                 "defect %.2g before rescale, peak estimate %.2g of budget, "
-                 "%d accepted, %d rejected steps, budget %g per unit step, %s",
+    logger.debug("integrate_schrodinger (%s arithmetic): %s, %s",
                  " and ".join(sorted(arithmetic, reverse=True)), partition,
-                 defect, peak, accepted, rejected, tol,
-                 _wall_time(start, accepted + rejected))
+                 steps, extra={"steps": steps})
     return states
 
 

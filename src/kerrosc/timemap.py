@@ -21,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .driven import (DriveSpec, FrequencySpec, _check_kind, _interpolated,
-                     energy_level as _driven_level)
+from .driven import FrequencySpec, _check_kind, _interpolated
 from .fock import FockState
 from .integrators import _panel_quadrature
 
@@ -32,7 +31,6 @@ __all__ = [
     "rescaled_time",
     "physical_time",
     "transformed_frequency",
-    "energy_level",
     "heisenberg_coefficients",
     "evolve_via_timemap",
 ]
@@ -152,11 +150,6 @@ def physical_time(mass: MassSpec, tau):
 def transformed_frequency(mass: MassSpec, frequency: FrequencySpec, t):
     """omega(t) = m(t) Omega(t), the constant-mass-picture frequency."""
     return mass(t) * frequency(t)
-
-
-def energy_level(n, frequency: FrequencySpec, t):
-    """Omega(t)(n + 1/2): `driven.energy_level` at zero drive; no mass term."""
-    return _driven_level(n, DriveSpec.zero(), frequency, t)
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,7 @@ class TestSubcommands:
         out = tmp_path / "out"
         assert main(["oracle", "--config", str(cfg_file), "--out", str(out),
                      "--trunc", "30"]) == 0
-        _, _, data = read_table(out / "oracle.csv")
+        header, _, data = read_table(out / "oracle.csv")
         cfg = load_config(cfg_file)
         params = _model_params(cfg)
         sol = integrate_wei_norman(params, cfg.t_end, samples=cfg.samples)
@@ -144,6 +144,13 @@ class TestSubcommands:
                          evolved_state(params, sol, float(t), 30))
                 for i, t in enumerate(run.times)]
         np.testing.assert_allclose(data[:, -1], loop, rtol=0, atol=1e-12)
+        # the oracle_steps header is the same run's StepRecord
+        line, = (h for h in header if h.startswith("# oracle_steps: "))
+        steps = dict(kv.split("=") for kv in line.split(": ", 1)[1].split())
+        assert steps == {"accepted": str(run.steps.accepted),
+                         "rejected": str(run.steps.rejected),
+                         "budget": f"{run.steps.budget:g}"}
+        assert run.steps.accepted > 0 and run.steps.budget == cfg.tolerance
 
     def test_oracle_summary_keys_equal_the_columns(self, config_of, tmp_path):
         # fidelity_min is the fidelity column's minimum and its first time,

@@ -24,6 +24,14 @@ def test_cli_import_loads_no_scipy():
     assert loaded("import kerrosc.cli", ("scipy", "numpy.polynomial")) == []
 
 
+def test_package_import_loads_no_optional_module():
+    # the benchmark's setup_s times `python -c "import kerrosc"`: the
+    # package import stays at numpy's own, loading no config reader, scipy,
+    # Legendre rule or masked arrays
+    assert loaded("import kerrosc", ("yaml", "scipy", "numpy.polynomial",
+                                     "numpy.ma")) == []
+
+
 def test_autocorr_run_loads_no_numpy_ma(tmp_path):
     # np.median's NaN check imports numpy.ma, 16-19 ms in a fresh
     # interpreter; the revival filter takes its medians by np.partition

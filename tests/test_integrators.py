@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -45,9 +46,14 @@ class TestAdaptiveIntegrator:
                                 sample_times=ts)
         np.testing.assert_allclose(ys, np.full((7, 1), 2.0 + 1j))
 
-    def test_zero_span(self):
-        ys = scalar_schrodinger(lambda t: 1.0, 1.0, 0.0, 1e-8)
+    def test_zero_span(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+            ys = scalar_schrodinger(lambda t: 1.0, 1.0, 0.0, 1e-8)
         np.testing.assert_allclose(ys[-1], [1.0])
+        # no step taken: the record reads 0/0 and its line formats
+        record, = caplog.records
+        assert (record.steps.accepted, record.steps.rejected) == (0, 0)
+        assert record.getMessage().endswith(", 0.0 us per attempted step")
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

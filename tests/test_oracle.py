@@ -23,6 +23,7 @@ from kerrosc.integrators import StepSizeError
 from kerrosc.oracle import (
     OracleError,
     OracleRun,
+    StepRecord,
     _EXTRAPOLATION,
     _SUBSTEPS,
     _chiral_model,
@@ -146,7 +147,7 @@ class TestIntegrateExact:
         t_end = float(times[-1])
         run = integrate_exact(p, psi0, t_end, tol=1e-10, sample_times=times)
         assert np.array_equal(run.times, times)
-        assert run.accepted_steps >= np.count_nonzero(np.diff(times))
+        assert run.steps.accepted >= np.count_nonzero(np.diff(times))
         # each sample is the state at its own time: restarting the run from
         # zero with that time as the only sample lands on the same state
         for i in (1, -2, -1):
@@ -169,21 +170,39 @@ class TestIntegrateExact:
         with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
             run = integrate_exact(p, coherent_state(1.0, 40), 3.0, tol=1e-9,
                                   sample_times=np.array([3.0]))
-        assert run.accepted_steps > 0 and run.rejected_steps >= 0
-        assert run.budget == 1e-9
-        assert (f"{run.accepted_steps} accepted, {run.rejected_steps} "
-                "rejected steps") in caplog.text
-        assert "peak norm defect" in caplog.text
-        assert "peak norm drift" in caplog.text
-        assert "peak boundary population" in caplog.text
-        found = re.search(r"([\d.]+) s wall, ([\d.]+) us per attempted step",
-                          caplog.text)
-        assert found
-        wall, per_step = float(found.group(1)), float(found.group(2))
-        attempted = run.accepted_steps + run.rejected_steps
-        assert wall > 0.0 and per_step > 0.0
-        # wall is printed to the millisecond
-        assert per_step * attempted == pytest.approx(1e6 * wall, abs=1e3)
+        steps = run.steps
+        assert steps.accepted > 0 and steps.rejected >= 0
+        assert steps.budget == 1e-9
+        assert 0.0 < steps.peak <= 1.0 and 0.0 <= steps.defect
+        assert steps.seconds > 0.0
+        # the log record carries the run's record, and its line prints it
+        # after the route's own part
+        record, = caplog.records
+        assert record.steps is steps
+        assert record.getMessage().endswith(f", {steps}")
+        assert "peak norm drift" in record.getMessage()
+        assert "peak boundary population" in record.getMessage()
+        # the text's time per attempted step is the wall seconds over the
+        # accepted and rejected steps
+        assert str(StepRecord(3, 1, 1e-9, 0.5, 1e-15, 0.002)).endswith(
+            ", 0.002 s wall, 500.0 us per attempted step")
+
+    def test_zero_step_run_reports_no_steps(self, caplog):
+        # t = 0 as the only sample: the run takes no step, and its record
+        # and DEBUG line say so without dividing by zero
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
+        psi0 = coherent_state(1.0, 30)
+        with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+            run = integrate_exact(p, psi0, 1.0, sample_times=np.array([0.0]))
+        assert (run.steps.accepted, run.steps.rejected) == (0, 0)
+        assert np.array_equal(run.states[0], psi0.amplitudes)
+        record, = caplog.records
+        assert record.steps == run.steps
+        assert record.getMessage().endswith(
+            " 0 accepted, 0 rejected steps, budget 1e-10 per unit step, peak "
+            "estimate 0 of budget, peak norm defect 0 before rescale, "
+            f"{run.steps.seconds:.3f} s wall, 0.0 us per attempted step")
 
     @pytest.mark.parametrize("samples, steps, tables", [
         (1001, 1000, 17), (2, 203, 154)], ids=["grid", "controller"])
@@ -201,9 +220,11 @@ class TestIntegrateExact:
             run = integrate_exact(p, coherent_state(3.0, 66), t_end,
                                   tol=1e-10, sample_times=np.linspace(
                                       0.0, t_end, samples))
-        assert (run.accepted_steps, run.rejected_steps) == (steps, 0)
-        assert f"{steps} accepted, 0 rejected steps, {tables} phase tables" \
-            in caplog.text
+        assert (run.steps.accepted, run.steps.rejected) == (steps, 0)
+        record, = caplog.records
+        assert record.steps == run.steps
+        assert record.getMessage().startswith(
+            f"integrate_exact: {tables} phase tables, ")
 
     def test_norm_defect_shows_a_kept_column_off_by_1e7(self, caplog,
                                                            monkeypatch):
@@ -220,9 +241,8 @@ class TestIntegrateExact:
                 run = integrate_exact(p, coherent_state(3.0, 66), 1.0,
                                       sample_times=np.linspace(0.0, 1.0, 11))
             assert run.norm_drift.max() <= 1e-14
-            found = re.search(r"peak estimate [^,]+ of budget, peak norm "
-                              r"defect (\S+) before rescale, ", caplog.text)
-            return float(found.group(1))
+            assert caplog.records[0].steps == run.steps
+            return run.steps.defect
 
         assert defect() <= 1e-13
         mutated = _EXTRAPOLATION.copy()
@@ -240,15 +260,15 @@ class TestIntegrateExact:
         t_end = 2 * math.pi
         run = integrate_exact(p, coherent_state(3.0, 66), t_end, tol=1e-10,
                               sample_times=np.array([t_end]))
-        assert (run.accepted_steps, run.rejected_steps) == (203, 0)
+        assert (run.steps.accepted, run.steps.rejected) == (203, 0)
 
     def test_frozen_fields_leave_the_callers_arrays_writeable(self):
         p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
         times, states = np.array([0.0, 1.0]), np.ones((2, 3), dtype=complex)
         drift = np.zeros(2)
         run = OracleRun(params=p, n_trunc=3, times=times, states=states,
-                        norm_drift=drift, accepted_steps=1, rejected_steps=0,
-                        budget=1e-10)
+                        norm_drift=drift,
+                        steps=StepRecord(1, 0, 1e-10, 0.0, 0.0, 0.0))
         for field, own in ((run.times, times), (run.states, states),
                            (run.norm_drift, drift)):
             assert_frozen_view(field, own)
@@ -391,8 +411,8 @@ class TestExactPair:
         first = [run(n) for n in (30, 45)]
         for before, after in zip(first, [run(n) for n in (30, 45)]):
             assert np.array_equal(before.states, after.states)
-            assert (before.accepted_steps, before.rejected_steps) \
-                == (after.accepted_steps, after.rejected_steps)
+            assert (before.steps.accepted, before.steps.rejected) \
+                == (after.steps.accepted, after.steps.rejected)
 
 
 class TestFidelity:
@@ -513,13 +533,12 @@ class TestIntegrateSchrodinger:
                     integrate_schrodinger(h_direct, psi0, t_end, tol=1e-9)[-1],
                     evolve_via_timemap(psi0, mass, evolver_star,
                                        t_end).amplitudes))
-        lines = [r.getMessage() for r in caplog.records
-                 if r.getMessage().startswith("integrate_schrodinger")]
-        steps = [re.match(r"integrate_schrodinger \(real arithmetic\): 2 "
-                          r"blocks of 20 levels, .*, (\d+) accepted, (\d+) "
-                          r"rejected steps, ", line) for line in lines]
-        assert all(steps)
-        assert [(int(s.group(1)), int(s.group(2))) for s in steps] == [
+        records = [r for r in caplog.records
+                   if r.getMessage().startswith("integrate_schrodinger")]
+        assert all(r.getMessage().startswith(
+            "integrate_schrodinger (real arithmetic): 2 blocks of 20 levels, ")
+            for r in records)
+        assert [(r.steps.accepted, r.steps.rejected) for r in records] == [
             (16, 2), (17, 3), (71, 4), (86, 5)]
         # 1 - F of unit states this close is about 1e-19, under rounding; the
         # distance after aligning the global phase shows the agreement (about
@@ -606,13 +625,13 @@ class TestSchrodingerPropagator:
     @staticmethod
     def logged_run(caplog, hamiltonian, **kwargs):
         """States of a 5-level run from the first level over [0, 2], and its
-        telemetry line."""
+        telemetry log record."""
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
             states = integrate_schrodinger(
                 hamiltonian, number_state(0, 5), 2.0,
                 sample_times=np.linspace(0.0, 2.0, 5), **kwargs)
-        records = [r.getMessage() for r in caplog.records
+        records = [r for r in caplog.records
                    if r.getMessage().startswith("integrate_schrodinger")]
         assert len(records) == 1
         return states, records[0]
@@ -627,22 +646,23 @@ class TestSchrodingerPropagator:
         def real(t):
             return a + math.cos(3.0 * t) * b
 
-        got, line = self.logged_run(caplog,
-                                    lambda t: real(t).astype(np.complex128))
-        want, want_line = self.logged_run(caplog, real)
+        got, record = self.logged_run(caplog,
+                                      lambda t: real(t).astype(np.complex128))
+        want, want_record = self.logged_run(caplog, real)
         assert np.array_equal(got, want)
-        steps = re.compile(r"\d+ accepted, \d+ rejected steps")
-        assert steps.search(line).group() == steps.search(want_line).group()
-        assert line.startswith("integrate_schrodinger (real arithmetic): ")
-        assert want_line.startswith(
-            "integrate_schrodinger (real arithmetic): ")
+        assert (record.steps.accepted, record.steps.rejected) \
+            == (want_record.steps.accepted, want_record.steps.rejected)
+        for r in (record, want_record):
+            assert r.getMessage().startswith(
+                "integrate_schrodinger (real arithmetic): ")
 
     def test_complex_hamiltonian_telemetry_says_complex(self, caplog):
         h = np.diag(np.arange(5.0)) + 0.3j * (np.eye(5, k=1) - np.eye(5, k=-1))
-        _, line = self.logged_run(caplog, lambda t: h, tol=1e-9)
-        assert line.startswith("integrate_schrodinger (complex arithmetic): ")
-        assert re.search(r"budget 1e-09 per unit step, [\d.]+ s wall, "
-                         r"[\d.]+ us per attempted step$", line)
+        _, record = self.logged_run(caplog, lambda t: h, tol=1e-9)
+        assert record.getMessage() == ("integrate_schrodinger (complex "
+                                       f"arithmetic): 1 block of 5 levels, "
+                                       f"{record.steps}")
+        assert record.steps.budget == 1e-9
 
     def test_non_hermitian_hamiltonian_refused(self):
         h = np.array([[1.0, 0.5], [0.0, -1.0]])
@@ -695,9 +715,9 @@ class TestSchrodingerPropagator:
             integrate_schrodinger(lambda t: np.eye(3), number_state(0, 2), 1.0)
 
     @staticmethod
-    def accepted_steps(caplog, tol):
-        """Accepted steps of a run on a 2x2 H(t) whose terms do not commute,
-        read from its telemetry line."""
+    def step_record(caplog, tol):
+        """The `StepRecord` of a run on a 2x2 H(t) whose terms do not
+        commute, read from its telemetry log record."""
         caplog.clear()
         with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
             integrate_schrodinger(
@@ -707,20 +727,19 @@ class TestSchrodingerPropagator:
         records = [r for r in caplog.records
                    if r.getMessage().startswith("integrate_schrodinger")]
         assert len(records) == 1 and records[0].levelno == logging.DEBUG
-        found = re.search(r"(\d+) accepted, \d+ rejected steps, budget "
-                          f"{tol:g} per unit step", records[0].getMessage())
-        assert found
-        return int(found.group(1))
+        assert records[0].steps.budget == tol
+        assert records[0].getMessage().endswith(f", {records[0].steps}")
+        return records[0].steps
 
     def test_step_telemetry_reported(self, caplog):
-        assert self.accepted_steps(caplog, 1e-9) > 0
-        assert re.search(r"budget 1e-09 per unit step, [\d.]+ s wall, "
-                         r"[\d.]+ us per attempted step$", caplog.text.strip())
+        steps = self.step_record(caplog, 1e-9)
+        assert steps.accepted > 0 and steps.rejected >= 0
+        assert 0.0 < steps.peak <= 1.0 and steps.seconds > 0.0
 
     def test_step_is_sixth_order(self, caplog):
         # a budget of tol per unit step and an estimate ~ h**7 give
         # h ~ tol**(1/6): a 256-fold smaller tol takes about 2.5x the steps
         # (measured 2.26), a 4th-order estimate would take 4x
-        ratio = self.accepted_steps(caplog, 1e-8 / 256) \
-            / self.accepted_steps(caplog, 1e-8)
+        ratio = self.step_record(caplog, 1e-8 / 256).accepted \
+            / self.step_record(caplog, 1e-8).accepted
         assert 1.8 <= ratio <= 3.2

@@ -12,7 +12,6 @@ from kerrosc.fock import FockState, coherent_state, momentum_operator, position_
 from kerrosc.oracle import fidelity, integrate_schrodinger
 from kerrosc.timemap import (
     MassSpec,
-    energy_level,
     evolve_via_timemap,
     heisenberg_coefficients,
     physical_time,
@@ -256,11 +255,15 @@ class TestTransformedFrequency:
 
 
 class TestEnergyLevel:
+    # the spectrum without drive and mass term: driven.energy_level at zero
+    # drive
     def test_ground_state(self):
-        assert energy_level(0, FrequencySpec(1.0), 0.0) == 0.5
+        assert driven_energy_level(0, DriveSpec.zero(), FrequencySpec(1.0),
+                                   0.0) == 0.5
 
     def test_third_level(self):
-        assert energy_level(3, FrequencySpec(2.0), 1.1) == pytest.approx(7.0)
+        assert driven_energy_level(3, DriveSpec.zero(), FrequencySpec(2.0),
+                                   1.1) == pytest.approx(7.0)
 
     def test_mass_independence_of_levels(self):
         # a pure mass profile leaves Omega and hence the spectrum untouched
@@ -268,11 +271,12 @@ class TestEnergyLevel:
         m = MassSpec.exponential(1.0, 0.6)
         for t in (0.0, 1.0, 2.5):
             ratio = transformed_frequency(m, f, t) / float(m(t))
-            assert abs(energy_level(2, f, t) - ratio * 2.5) < 1e-12
+            assert abs(driven_energy_level(2, DriveSpec.zero(), f, t)
+                       - ratio * 2.5) < 1e-12
 
     def test_negative_level_rejected(self):
         with pytest.raises(ValueError):
-            energy_level(-1, FrequencySpec(1.0), 0.0)
+            driven_energy_level(-1, DriveSpec.zero(), FrequencySpec(1.0), 0.0)
 
 
 class TestHeisenbergCoefficients:
