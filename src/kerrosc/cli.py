@@ -2,9 +2,11 @@
 
 Each subcommand reads one YAML scenario, runs the corresponding computation,
 and writes CSV (default) or JSON artifacts whose header block echoes the
-fully-resolved configuration, so runs are reproducible from their outputs
-alone.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
-The runners only compute; `main` writes every table through `_writer`.
+fully-resolved configuration, --tol and --trunc overrides included, so runs
+are reproducible from their outputs alone.  Exit codes: 0 success, 2
+configuration error, 3 numerical failure.  Each runner is run(cfg, write):
+it only computes from the config that ran, and `main` writes every table
+through `_writer`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import json
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +163,7 @@ def _model_params(cfg: ScenarioConfig, t_end: float | None = None,
     return params
 
 
-def _wei_norman_rows(cfg: ScenarioConfig, sol) -> tuple[list[str], np.ndarray]:
+def _wei_norman_rows(sol) -> tuple[list[str], np.ndarray]:
     params = sol.params
     eta = sol.eta
     # Model norm of the factorized state before forced normalization:
@@ -171,31 +174,31 @@ def _wei_norman_rows(cfg: ScenarioConfig, sol) -> tuple[list[str], np.ndarray]:
     cols = ["t", "tau", "re_x1", "im_x1", "re_x2", "im_x2", "re_x3", "im_x3",
             "re_eta", "im_eta", "norm"]
     rows = np.column_stack([
-        sol.times, cfg.omega0 * sol.times,
+        sol.times, params.omega0 * sol.times,
         sol.x1.real, sol.x1.imag, sol.x2.real, sol.x2.imag,
         sol.x3.real, sol.x3.imag, eta.real, eta.imag, model_norm,
     ])
     return cols, rows
 
 
-def _auto_truncation(cfg: ScenarioConfig, sol) -> int:
-    peak = max(float(np.max(np.abs(sol.eta))), abs(cfg.alpha))
+def _auto_truncation(sol) -> int:
+    peak = max(float(np.max(np.abs(sol.eta))), abs(sol.params.alpha))
     return default_truncation(peak) + SUPPORT_MARGIN
 
 
-def run_simulate(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
+def run_simulate(cfg: ScenarioConfig, write):
     params = _model_params(cfg)
     sol = integrate_wei_norman(params, cfg.t_end, samples=cfg.samples)
-    write("simulate", *_wei_norman_rows(cfg, sol), {})
+    write("simulate", *_wei_norman_rows(sol), {})
 
 
-def run_oracle(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
+def run_oracle(cfg: ScenarioConfig, write):
     """The factorized run, and the exact run's norm drift and fidelity to it
     at each sample: each block of exact states is reduced to those two
     columns as it lands, so the run holds one block of states, not all."""
     params = _model_params(cfg)
     sol = integrate_wei_norman(params, cfg.t_end, samples=cfg.samples)
-    n_trunc = trunc if trunc is not None else _auto_truncation(cfg, sol)
+    n_trunc = cfg.truncation or _auto_truncation(sol)
     times, eta = sol.times, sol.eta
     drift, fid = np.empty(times.size), np.empty(times.size)
 
@@ -207,11 +210,11 @@ def run_oracle(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
             np.vecdot(exact, exact).real * np.vecdot(model, model).real)
 
     steps = _exact_blocks(params, coherent_state(params.alpha, n_trunc),
-                          cfg.t_end, tol, times, reduce)
+                          cfg.t_end, cfg.tolerance, times, reduce)
     # the factorized state's tail check after the oracle's guard, which
     # names the sample time where a too small basis is reached
-    _checked_coefficients(params, sol, times, n_trunc)
-    cols, rows = _wei_norman_rows(cfg, sol)
+    _checked_coefficients(sol, times, n_trunc)
+    cols, rows = _wei_norman_rows(sol)
     worst = int(np.argmin(fid))
     write("oracle", cols + ["norm_drift", "fidelity"],
           np.column_stack([rows, drift, fid]),
@@ -222,7 +225,7 @@ def run_oracle(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
            "norm_drift_max": float(drift.max())})
 
 
-def run_variances(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
+def run_variances(cfg: ScenarioConfig, write):
     xis = np.linspace(cfg.variances_xi_min, cfg.variances_xi_max,
                       cfg.variances_samples)
     rows = np.column_stack([xis, *quadrature_variance_ratios(
@@ -230,12 +233,12 @@ def run_variances(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
     write("variances", ["xi", "ratio_q", "ratio_p"], rows, {})
 
 
-def run_autocorr(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
+def run_autocorr(cfg: ScenarioConfig, write):
     if cfg.samples < 3:  # the config allows 2
         raise ConfigError("time.samples: revival detection needs at least 3")
     params = _model_params(cfg)
     sol = integrate_wei_norman(params, cfg.t_end, samples=cfg.samples)
-    series = autocorrelation_series(params, sol)
+    series = autocorrelation_series(sol)
     revivals = detect_revivals(series, cfg.revival_threshold)
     rows = np.column_stack([
         series.times, cfg.omega0 * series.times,
@@ -261,14 +264,14 @@ def _interpolated_solution(sol, t: float) -> WeiNormanSolution:
         for x in (sol.x1, sol.x2, sol.x3)))
 
 
-def run_husimi(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
+def run_husimi(cfg: ScenarioConfig, write):
     t_max = max(tau / cfg.omega0 for tau in cfg.husimi_times)
     params = _model_params(cfg, t_max, "husimi.times")
     sol = integrate_wei_norman(params, max(t_max, 1e-12), samples=cfg.samples)
-    n_trunc = trunc if trunc is not None else _auto_truncation(cfg, sol)
+    n_trunc = cfg.truncation or _auto_truncation(sol)
     for idx, tau in enumerate(cfg.husimi_times):
         t = tau / cfg.omega0
-        grid = husimi_snapshot(params, _interpolated_solution(sol, t), t,
+        grid = husimi_snapshot(_interpolated_solution(sol, t), t,
                                half_width=cfg.grid_half_width,
                                resolution=cfg.grid_resolution, n_trunc=n_trunc)
         xx, yy = np.meshgrid(grid.x, grid.y)
@@ -279,7 +282,7 @@ def run_husimi(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
               {**snapshot, "total_mass": grid.total_mass()})
 
 
-def run_spectrum(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
+def run_spectrum(cfg: ScenarioConfig, write):
     drive = _sampled(cfg.drive(), cfg.spectrum_times, "spectrum.times")
     freq = cfg.frequency()
     n, t = np.meshgrid(np.arange(cfg.spectrum_n_max + 1), cfg.spectrum_times)
@@ -289,7 +292,7 @@ def run_spectrum(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
           np.column_stack([c.ravel() for c in columns]), {})
 
 
-def run_timemap(cfg: ScenarioConfig, tol: float, trunc: int | None, write):
+def run_timemap(cfg: ScenarioConfig, write):
     times = np.linspace(0.0, cfg.t_end, cfg.samples)
     mass, freq = _sampled(cfg.mass(), times, "time.t_end"), cfg.frequency()
     cols = ["t", "tau", "mass", "omega_star"]
@@ -356,21 +359,19 @@ def main(argv: list[str] | None = None) -> int:
         run = SUBCOMMANDS[args.subcommand][0]
         refuse_unread(cfg, args.subcommand,
                       {name: reads for name, (_, reads) in SUBCOMMANDS.items()})
-        # an override given passes the checks of the key it replaces
-        resolved = {"tolerance": cfg.tolerance, "truncation": cfg.truncation}
+        # an override given passes the checks of the key it replaces, and
+        # the config that runs, and is echoed, holds it
         for flag, (key, _) in _OVERRIDES.items():
             if (value := getattr(args, key, None)) is not None:
-                resolved[key] = checked_value(key, value, flag)
-        tol, trunc = resolved["tolerance"], resolved["truncation"]
+                cfg = replace(cfg, **{key: checked_value(key, value, flag)})
         run_meta = {  # once per run, so every table shares one config text
             "generator": f"kerrosc {__version__}",
             "subcommand": args.subcommand,
-            "tolerance": tol,
-            "truncation": trunc if trunc is not None else "auto",
+            "tolerance": cfg.tolerance,
+            "truncation": cfg.truncation or "auto",
             "config": emit_config(cfg),
         }
-        run(cfg, tol, trunc,
-            _writer(Path(args.out), args.format, run_meta, written))
+        run(cfg, _writer(Path(args.out), args.format, run_meta, written))
     except ConfigError as exc:
         print(f"error[config]: {exc}", file=sys.stderr)
         return EXIT_CONFIG

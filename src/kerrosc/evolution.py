@@ -158,9 +158,10 @@ class WeiNormanSolution:
     """Factorization coefficients X1, X2, X3 sampled on an output grid.
 
     eta(t) = X2(t) + alpha is the displaced coherent amplitude of the evolved
-    state.  The `*_at` methods take a time or an array of times: stored values
-    on the grid, else one panel set from the grid point below, refined to the
-    solve's own budget, so no value depends on the grid.
+    state.  `eta_at` takes a time or an array of times: stored values on the
+    grid, else one panel set from the grid point below, refined to the solve's
+    own budget, so no value depends on the grid.  `params` is the model the
+    coefficients were solved for, which every reader of the solution uses.
     """
 
     params: ModelParams
@@ -193,12 +194,6 @@ class WeiNormanSolution:
             x[:, off] = _coefficients(
                 g0 + d_g, x[0, off].imag - (g0.conj() * d_g + d_q).imag)
         return tuple(v.reshape(np.shape(t))[()] for v in x)
-
-    def x1_at(self, t):
-        return self._at(t)[0]
-
-    def x3_at(self, t):
-        return self._at(t)[2]
 
     def eta_at(self, t):
         return self._at(t)[1] + self.params.alpha
@@ -268,13 +263,14 @@ def integrate_wei_norman(params: ModelParams, t_end: float,
     return WeiNormanSolution(params=params, times=times, x1=x1, x2=x2, x3=x3)
 
 
-def evolved_state(params: ModelParams, sol: WeiNormanSolution, t: float,
+def evolved_state(sol: WeiNormanSolution, t: float,
                   n_trunc: int | None = None) -> FockState:
     """Evolved state at time t: a Kerr-phased coherent state of amplitude eta_t.
 
     Amplitudes c_n = G exp(-i Omega0 t n - i chi t n^2) eta^n / sqrt(n!) with
     the global factor G carrying the exact phase from X1 and X3 and the
-    modulus fixed by normalization, |G|^2 = exp(-|eta|^2).
+    modulus fixed by normalization, |G|^2 = exp(-|eta|^2).  The model is the
+    one `sol` was solved for, `sol.params`.
 
     Raises
     ------
@@ -282,18 +278,17 @@ def evolved_state(params: ModelParams, sol: WeiNormanSolution, t: float,
         If n_trunc (default `default_truncation(eta_t)`) is below 1, or the
         Poisson tail of |eta_t|^2 beyond it reaches `fock.TAIL_MASS`.
     """
-    x1, x3, eta, n_trunc = _checked_coefficients(params, sol, t, n_trunc)
-    amps = _evolved_amplitudes(params, t, x1, x3, eta, n_trunc)
+    x1, x3, eta, n_trunc = _checked_coefficients(sol, t, n_trunc)
+    amps = _evolved_amplitudes(sol.params, t, x1, x3, eta, n_trunc)
     amps /= np.linalg.norm(amps)
     return FockState(amps, normalized=True)
 
 
-def _checked_coefficients(params: ModelParams, sol: WeiNormanSolution, t,
-                          n_trunc: int | None):
+def _checked_coefficients(sol: WeiNormanSolution, t, n_trunc: int | None):
     """X1, X3, eta, n_trunc at t (a time or array) for `_evolved_amplitudes`;
     the tail grows with the mean, so one check at the largest covers all."""
     x1, x2, x3 = sol._at(t)
-    eta = x2 + params.alpha
+    eta = x2 + sol.params.alpha
     peak = np.ravel(eta)[np.argmax(np.abs(eta))]
     return x1, x3, eta, checked_truncation(peak, n_trunc)
 

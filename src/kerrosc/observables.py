@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .evolution import (
-    ModelParams,
-    WeiNormanSolution,
-    _evolved_amplitudes,
-    evolved_state,
-)
+from .evolution import WeiNormanSolution, _evolved_amplitudes, evolved_state
 from .fock import (FockState, _freeze, _row_blocks, coherent_amplitudes,
                    default_truncation)
 
@@ -62,16 +57,15 @@ class AutocorrSeries:
         return np.abs(self.values) ** 2
 
 
-def autocorrelation(params: ModelParams, sol: WeiNormanSolution,
-                    t: float) -> complex:
+def autocorrelation(sol: WeiNormanSolution, t: float) -> complex:
     """Overlap F(t) = <alpha|psi(t)>: a one-point `autocorrelation_series`."""
-    return complex(autocorrelation_series(params, sol, np.array([t]))
-                   .values[0])
+    return complex(autocorrelation_series(sol, np.array([t])).values[0])
 
 
-def autocorrelation_series(params: ModelParams, sol: WeiNormanSolution,
+def autocorrelation_series(sol: WeiNormanSolution,
                            times: np.ndarray | None = None) -> AutocorrSeries:
-    """F(t) = <alpha|psi(t)> at `times`, default the solution grid.
+    """F(t) = <alpha|psi(t)> at `times`, default the solution grid, for the
+    model `sol` was solved for (alpha is `sol.params.alpha`).
 
     Summed from the closed-form amplitudes, so F carries the exact global
     phase of the evolved state (from X1 and X3) and equals the inner product
@@ -82,6 +76,7 @@ def autocorrelation_series(params: ModelParams, sol: WeiNormanSolution,
     sized for the series' largest m, so no amplitude matrix exceeds
     `_BLOCK_CELLS` cells.
     """
+    params = sol.params
     times = sol.times if times is None else np.asarray(times, dtype=float)
     x1, x2, x3 = sol._at(times)  # one quadrature for all three
     eta = x2 + params.alpha
@@ -259,16 +254,17 @@ def find_grid_peaks(grid: PhaseSpaceGrid,
     return peaks
 
 
-def husimi_snapshot(params: ModelParams, sol: WeiNormanSolution, t: float,
+def husimi_snapshot(sol: WeiNormanSolution, t: float,
                     half_width: float | None = None, resolution: int = 201,
                     n_trunc: int | None = None) -> PhaseSpaceGrid:
-    """Husimi grid of the evolved state at time t on a centered square window.
+    """Husimi grid of `evolved_state(sol, t, n_trunc)` on a centered square
+    window.
 
-    The default half-width |alpha| + 5 covers every rotating component of the
-    initial amplitude.
+    The default half-width |alpha| + 5, alpha of `sol.params`, covers every
+    rotating component of the initial amplitude.
     """
-    state = evolved_state(params, sol, t, n_trunc)
+    state = evolved_state(sol, t, n_trunc)
     if half_width is None:
-        half_width = abs(params.alpha) + 5.0
+        half_width = abs(sol.params.alpha) + 5.0
     rng = (-half_width, half_width)
     return husimi_grid(state, rng, rng, resolution)

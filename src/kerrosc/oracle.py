@@ -131,10 +131,9 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class OracleRun:
-    """Sampled exact evolution with its norm-drift record and `StepRecord`."""
+    """Sampled exact evolution with its norm-drift record and `StepRecord`;
+    the truncation is `states.shape[1]`."""
 
-    params: ModelParams
-    n_trunc: int
     times: np.ndarray
     states: np.ndarray  # shape (len(times), n_trunc), Schrodinger picture
     norm_drift: np.ndarray
@@ -459,8 +458,8 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
         states[part], drift[part] = block, block_drift
 
     steps = _exact_blocks(params, psi0, t_end, tol, times, keep)
-    return OracleRun(params=params, n_trunc=psi0.n_trunc, times=times,
-                     states=states, norm_drift=drift, steps=steps)
+    return OracleRun(times=times, states=states, norm_drift=drift,
+                     steps=steps)
 
 
 def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,

@@ -20,7 +20,8 @@ from kerrosc.fock import (
     momentum_operator,
     position_operator,
 )
-from kerrosc.kerr_states import KerrStateParams, mandel_q, quadrature_variance_ratios
+from kerrosc.kerr_states import (KerrStateParams, kerr_state, mandel_q,
+                                 quadrature_variance_ratios)
 from kerrosc.observables import (
     autocorrelation,
     autocorrelation_series,
@@ -66,7 +67,7 @@ def fig2_fidelity(fig2_solution):
     times = np.linspace(0.0, 8 * math.pi, 801)
     run = integrate_exact(p, psi0, times[-1], tol=1e-10, sample_times=times)
     return times, np.array([
-        fidelity(run.state_at(i), evolved_state(p, fig2_solution, t, n_trunc))
+        fidelity(run.state_at(i), evolved_state(fig2_solution, t, n_trunc))
         for i, t in enumerate(times.tolist())])
 
 
@@ -113,6 +114,40 @@ class TestCriterion2Variances:
         assert ok, (f"momentum ratio drops to {min_p:.6f} < 1 near xi = pi/2 "
                     "(verified against direct Fock-space moments)")
 
+    def test_2d_exact_route_gives_kerr_states_and_their_variances(self):
+        # At zero drive H = Omega0 (n + 1/2) + chi n^2, so the oracle's state
+        # is kerr_state(beta e^{-i Omega0 t}, chi t) up to a global phase.
+        # Measured over xi = chi t in [0, pi]: 1 - F <= 4.4e-16 (bound 1e-14,
+        # 22x headroom) and, with the free rotation undone, ratios within
+        # 1.8e-13 of the closed form (bound 1e-11, 54x headroom).
+        beta, chi, n_trunc = 0.5, 0.25, 40
+        p = ModelParams(omega0=1.0, chi=chi, drive=DriveSpec.zero())
+        xis = np.linspace(0.0, math.pi, 401)
+        times = xis / chi
+        run = integrate_exact(p, coherent_state(beta, n_trunc), times[-1],
+                              sample_times=times)
+        deficit = max(1.0 - fidelity(run.state_at(i), kerr_state(
+            KerrStateParams(beta * np.exp(-1j * t), chi * t), n_trunc))
+            for i, t in enumerate(times.tolist()))
+        psi = run.states * np.exp(1j * np.outer(times, np.arange(n_trunc)))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+
+        def ratio(op):  # vacuum variance 1/2
+            mean = np.einsum("ti,ij,tj->t", psi.conj(), op, psi).real
+            square = np.einsum("ti,ij,tj->t", psi.conj(), op @ op, psi).real
+            return np.sqrt((square - mean ** 2) / 0.5)
+
+        exact = (ratio(position_operator(n_trunc).matrix),
+                 ratio(momentum_operator(n_trunc).matrix))
+        closed = quadrature_variance_ratios(KerrStateParams(beta, xis))
+        worst = max(np.abs(e - c).max() for e, c in zip(exact, closed))
+        k = int(np.argmin(exact[1]))
+        ok = report("2d", deficit < 1e-14 and worst < 1e-11,
+                    f"max 1 - F = {deficit:.1e}, max |ratio - closed| = "
+                    f"{worst:.1e}; exact-route min momentum ratio = "
+                    f"{exact[1][k]:.6f} at xi = {xis[k]:.6f} (2c's value)")
+        assert ok
+
 
 class TestCriterion3Revivals:
     def test_3a_exact_wrap_revival_without_drive(self):
@@ -122,7 +157,7 @@ class TestCriterion3Revivals:
                             alpha=3.0)
             t = 2 * math.pi / 0.25
             sol = integrate_wei_norman(p, t)
-            f = abs(autocorrelation(p, sol, t))
+            f = abs(autocorrelation(sol, t))
             expected = math.exp(-9.0 * (1 - math.cos(omega0 * t)))
             worst = max(worst, abs(f - expected))
         assert report("3a", worst < 1e-10, f"max wrap error = {worst:.2e}")
@@ -137,7 +172,7 @@ class TestCriterion3Revivals:
             t_rev = 2 * math.pi / chi
             sol = integrate_wei_norman(p, 1.1 * t_rev)
             times = np.arange(0.0, 1.1 * t_rev, dt)
-            series = autocorrelation_series(p, sol, times)
+            series = autocorrelation_series(sol, times)
             revivals = detect_revivals(series, 0.5)
             gap = np.abs(revivals - t_rev).min() if revivals.size else np.inf
             details.append(f"chi={chi}: |t - 2pi/chi| = {gap:.3f}")
@@ -148,9 +183,8 @@ class TestCriterion3Revivals:
         # The resonantly driven oscillator passes near its initial
         # phase-space point once more around t ~ 5.74 with |F|^2 ~ 0.68
         # (confirmed by direct integration) before drifting away for good.
-        p = fig2_params(0.0)
         times = np.arange(0.0, 8 * math.pi, 0.01)
-        series = autocorrelation_series(p, kerr_free_solution, times)
+        series = autocorrelation_series(kerr_free_solution, times)
         window = times > 2.0
         revivals = detect_revivals(series, 0.5)
         revivals = revivals[revivals > 2.0]
@@ -164,12 +198,11 @@ class TestCriterion3Revivals:
 
 class TestCriterion4Husimi:
     def test_snapshot_peak_structure(self, fig2_solution):
-        p = fig2_params(0.25)
         expected_counts = {0.0: 1, math.pi: 4, 2 * math.pi: 2, 8 * math.pi: 1}
         ok = True
         details = []
         for tau, count in expected_counts.items():
-            grid = husimi_snapshot(p, fig2_solution, tau, resolution=201)
+            grid = husimi_snapshot(fig2_solution, tau, resolution=201)
             peaks = find_grid_peaks(grid, 0.2)
             mass = grid.total_mass()
             ok &= len(peaks) == count and abs(mass - 1.0) < 1e-3
@@ -235,7 +268,7 @@ class TestCriterion6WeiNormanFidelity:
                               sample_times=ts)
         worst = max(
             1.0 - fidelity(run.state_at(i),
-                           evolved_state(p, kerr_free_solution, float(t),
+                           evolved_state(kerr_free_solution, float(t),
                                          n_trunc))
             for i, t in enumerate(ts))
         assert report("6a", worst <= 1e-7,
@@ -254,7 +287,7 @@ class TestCriterion6WeiNormanFidelity:
         ts = np.linspace(0.5, 10.0, 20)
         run = integrate_exact(p, psi0, 10.0, tol=1e-10, sample_times=ts)
         min_fid = min(
-            fidelity(run.state_at(i), evolved_state(p, sol, float(t), n_trunc))
+            fidelity(run.state_at(i), evolved_state(sol, float(t), n_trunc))
             for i, t in enumerate(ts))
         ok = report("6b", min_fid >= 0.99, f"min fidelity = {min_fid:.6f}")
         assert ok, (f"fidelity drops to {min_fid:.2e} by t = 10 under the "

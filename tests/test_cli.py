@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +142,7 @@ class TestSubcommands:
                               cfg.t_end, tol=cfg.tolerance,
                               sample_times=sol.times)
         loop = [fidelity(run.state_at(i),
-                         evolved_state(params, sol, float(t), 30))
+                         evolved_state(sol, float(t), 30))
                 for i, t in enumerate(run.times)]
         np.testing.assert_allclose(data[:, -1], loop, rtol=0, atol=1e-12)
         # the oracle_steps header is the same run's StepRecord
@@ -184,12 +185,12 @@ class TestSubcommands:
         def write(stem, columns, rows, extra_meta):
             pass
 
-        cli.run_oracle(cfg, cfg.tolerance, 60, write)  # warm-up
+        cli.run_oracle(replace(cfg, truncation=60), write)  # warm-up
         peaks = []
         for trunc in (60, 240):
             tracemalloc.start()
             try:
-                cli.run_oracle(cfg, cfg.tolerance, trunc, write)
+                cli.run_oracle(replace(cfg, truncation=trunc), write)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -729,14 +730,19 @@ class TestUnreadKeys:
         assert capsys.readouterr().err.startswith(
             "error[config]: time.t_end: 25.13")
 
-    @pytest.mark.parametrize("command", list(CONFIGS))
-    def test_echoed_config_runs_again_to_the_same_body(self, tmp_path,
-                                                       config_of, command):
+    @pytest.mark.parametrize("command, flags", [
+        *(pytest.param(command, [], id=command) for command in CONFIGS),
+        pytest.param("oracle", ["--tol", "1e-6", "--trunc", "30"],
+                     id="oracle-tol-trunc"),
+        pytest.param("husimi", ["--trunc", "30"], id="husimi-trunc")])
+    def test_echoed_config_runs_again_to_the_same_body(
+            self, tmp_path, config_of, command, flags):
         # every header echoes every section, each key a subcommand does not
-        # read at its default
+        # read at its default, and each override given: the echo run again
+        # without flags gives the same body
         first, again = tmp_path / "first", tmp_path / "again"
         assert main([command, "--config", str(config_of(command)),
-                     "--out", str(first)]) == 0
+                     "--out", str(first), *flags]) == 0
         tables = sorted(first.glob("*.csv"))
         lines = tables[0].read_text().splitlines()
         start = lines.index("# config:") + 1
@@ -744,6 +750,11 @@ class TestUnreadKeys:
         echoed.write_text("".join(
             line[4:] + "\n" for line in lines[start:]
             if line.startswith("#   ")))
+        header = dict(line[2:].split(": ", 1) for line in lines[:start - 1])
+        echo = yaml.safe_load(echoed.read_text())
+        assert float(header["tolerance"]) == echo["tolerance"]
+        if "truncation" in echo:  # else each table's own automatic one
+            assert header["truncation"] == str(echo["truncation"])
         assert main([command, "--config", str(echoed),
                      "--out", str(again)]) == 0
         for table in tables:

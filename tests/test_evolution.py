@@ -213,18 +213,20 @@ class TestWeiNorman:
         sol = integrate_wei_norman(p, 8 * math.pi, samples=1001)
         t = 0.3 * sol.times[397] + 0.7 * sol.times[398]
         on_grid = integrate_wei_norman(p, t, samples=400)
+        x1, _, x3 = sol._at(t)
         assert abs(sol.eta_at(t) - on_grid.eta[-1]) < 1e-12
-        assert abs(sol.x1_at(t) - on_grid.x1[-1]) < 1e-12
-        assert abs(sol.x3_at(t) - on_grid.x3[-1]) < 1e-12
+        assert abs(x1 - on_grid.x1[-1]) < 1e-12
+        assert abs(x3 - on_grid.x3[-1]) < 1e-12
         np.testing.assert_allclose(
-            evolved_state(p, sol, t, 70).amplitudes,
-            evolved_state(p, on_grid, t, 70).amplitudes, rtol=0, atol=1e-12)
+            evolved_state(sol, t, 70).amplitudes,
+            evolved_state(on_grid, t, 70).amplitudes, rtol=0, atol=1e-12)
 
     def test_vectorized_at_matches_scalar_calls(self):
         p = cosine_params(omega0=1.0, chi=0.25, alpha=3.0)
         sol = integrate_wei_norman(p, 3.0, samples=31)
         ts = np.array([[0.0, 0.05, 1.0], [1.234, 2.9999, 3.0]])
-        for method in (sol.x1_at, sol.x3_at, sol.eta_at):
+        for method in (lambda t: sol._at(t)[0], lambda t: sol._at(t)[2],
+                       sol.eta_at):
             values = method(ts)
             assert values.shape == ts.shape
             np.testing.assert_allclose(
@@ -331,13 +333,14 @@ class TestWeiNormanClosedForm:
         for samples in (11, 2001, 8001):
             sol = integrate_wei_norman(p, t_end, samples=samples)
             on = slice(None, None, (samples - 1) // 10)
+            x1_off, _, x3_off = sol._at(off)
             for got, want, bound in (
                     (sol.x3[on], x3[:11], bound_g),
                     (sol.x2[on], x2[:11], bound_g),
                     (sol.x1[on], x1[:11], bound_x1),
-                    (sol.x3_at(off), x3[11:], bound_g),
+                    (x3_off, x3[11:], bound_g),
                     (sol.eta_at(off), x2[11:] + p.alpha, bound_g),
-                    (sol.x1_at(off), x1[11:], bound_x1)):
+                    (x1_off, x1[11:], bound_x1)):
                 assert np.abs(got - want).max() <= bound
             big_g, im_x1 = _kernel_coefficients(p, sol.times, tol)
             coarse = (tol, samples) == (1e-3, 11)
@@ -351,7 +354,7 @@ class TestEvolvedState:
     def test_t0_is_initial_coherent_state(self):
         p = cosine_params(omega0=1.0, chi=0.25, alpha=1.5)
         sol = integrate_wei_norman(p, 1.0)
-        state = evolved_state(p, sol, 0.0, 40)
+        state = evolved_state(sol, 0.0, 40)
         target = coherent_state(1.5, 40)
         assert abs(abs(np.vdot(target.amplitudes, state.amplitudes)) - 1) < 1e-12
 
@@ -359,7 +362,7 @@ class TestEvolvedState:
         p = ModelParams(omega0=1.0, chi=0.3, drive=DriveSpec.zero(), alpha=1.2)
         sol = integrate_wei_norman(p, 2.0)
         t = 2.0
-        state = evolved_state(p, sol, t, 40)
+        state = evolved_state(sol, t, 40)
         n = np.arange(40)
         base = coherent_state(1.2, 40).amplitudes
         expected = base * np.exp(-1j * (p.omega0 * t * n + p.chi * t * n ** 2))
@@ -371,13 +374,13 @@ class TestEvolvedState:
         p = cosine_params(omega0=1.0, chi=0.25, alpha=2.0)
         sol = integrate_wei_norman(p, 6.0)
         for t in np.linspace(0.0, 6.0, 13):
-            assert abs(evolved_state(p, sol, float(t), 60).norm() - 1) < 1e-9
+            assert abs(evolved_state(sol, float(t), 60).norm() - 1) < 1e-9
 
     def test_statistics_poisson_with_mean_eta_squared(self):
         p = cosine_params(omega0=1.0, chi=0.25, alpha=2.0)
         sol = integrate_wei_norman(p, 4.0)
         t = 3.1
-        state = evolved_state(p, sol, t, 70)
+        state = evolved_state(sol, t, 70)
         mu = abs(sol.eta_at(t)) ** 2
         n = np.arange(70)
         from scipy.special import gammaln
@@ -390,7 +393,7 @@ class TestEvolvedState:
         p = ModelParams(omega0=1.0, chi=0.05, drive=DriveSpec.zero(), alpha=1.5)
         sol = integrate_wei_norman(p, 2.0)
         t = 2.0
-        state = evolved_state(p, sol, t, 30)
+        state = evolved_state(sol, t, 30)
         c = state.amplitudes
         for n in range(6):
             measured = np.angle(c[n + 1] / c[n])
@@ -403,7 +406,7 @@ class TestEvolvedState:
         p = cosine_params(omega0=1.0, chi=0.0, alpha=3.0)
         sol = integrate_wei_norman(p, 1.0)
         with pytest.raises(TruncationError):
-            evolved_state(p, sol, 1.0, 12)
+            evolved_state(sol, 1.0, 12)
         # the tail at 12 levels is far above the guard's fock.TAIL_MASS
         assert poisson_tail(9.0, 12) > 1e-9
 
@@ -415,11 +418,11 @@ class TestEvolvedState:
         sol = integrate_wei_norman(p, 1.0)
         assert TAIL_MASS <= poisson_tail(9.0, 35) < 4e-11
         with pytest.raises(TruncationError) as evolved:
-            evolved_state(p, sol, 1.0, 35)
+            evolved_state(sol, 1.0, 35)
         with pytest.raises(TruncationError) as coherent:
             coherent_state(3.0, 35)
         assert str(evolved.value) == str(coherent.value)
-        assert evolved_state(p, sol, 1.0).n_trunc == default_truncation(3.0)
+        assert evolved_state(sol, 1.0).n_trunc == default_truncation(3.0)
 
     @pytest.mark.parametrize("n_trunc", [0, -5])
     def test_basis_size_below_one_refused(self, n_trunc):
@@ -427,7 +430,7 @@ class TestEvolvedState:
         sol = integrate_wei_norman(p, 1.0)
         with pytest.raises(TruncationError,
                            match="^n_trunc must be at least 1$"):
-            evolved_state(p, sol, 1.0, n_trunc)
+            evolved_state(sol, 1.0, n_trunc)
 
     def test_blocked_coefficients_check_the_largest_tail(self):
         # resonant Kerr-free drive: |eta| grows, so 30 levels hold the early
@@ -435,13 +438,13 @@ class TestEvolvedState:
         p = cosine_params(omega0=1.0, chi=0.0, alpha=0.0)
         sol = integrate_wei_norman(p, 30.0, samples=31)
         early = sol.times[:5]
-        x1, x3, eta, n_trunc = _checked_coefficients(p, sol, early, 30)
+        x1, x3, eta, n_trunc = _checked_coefficients(sol, early, 30)
         amps = _evolved_amplitudes(p, early, x1, x3, eta, n_trunc)
         assert amps.shape == (5, 30)
         for t, row in zip(early, amps):
             np.testing.assert_allclose(
                 row / np.linalg.norm(row),
-                evolved_state(p, sol, float(t), 30).amplitudes,
+                evolved_state(sol, float(t), 30).amplitudes,
                 rtol=0, atol=1e-15)
         with pytest.raises(TruncationError):
-            _checked_coefficients(p, sol, sol.times, 30)
+            _checked_coefficients(sol, sol.times, 30)

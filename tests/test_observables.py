@@ -43,20 +43,20 @@ def fig2_params(chi, alpha=3.0):
 
 
 def scenario_solution(name):
-    """The model and Wei-Norman solution of scenarios/<name>.yaml."""
+    """The config and Wei-Norman solution of scenarios/<name>.yaml."""
     scenarios = Path(__file__).resolve().parents[1] / "scenarios"
     cfg = load_config(str(scenarios / f"{name}.yaml"))
     p = ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=cfg.drive(),
                     alpha=cfg.alpha)
     sol = integrate_wei_norman(p, cfg.t_end, samples=cfg.samples)
-    return cfg, p, sol
+    return cfg, sol
 
 
 class TestAutocorrelation:
     def test_unity_at_t0(self):
         p = fig2_params(0.25)
         sol = integrate_wei_norman(p, 1.0)
-        assert abs(autocorrelation(p, sol, 0.0) - 1.0) < 1e-12
+        assert abs(autocorrelation(sol, 0.0) - 1.0) < 1e-12
 
     def test_kerr_wrap_revival_without_drive(self):
         # at t = 2 pi / chi the number-squared phase wraps exactly and the
@@ -67,7 +67,7 @@ class TestAutocorrelation:
                             alpha=alpha)
             t = 2 * math.pi / chi
             sol = integrate_wei_norman(p, t)
-            f = autocorrelation(p, sol, t)
+            f = autocorrelation(sol, t)
             expected = math.exp(-alpha ** 2 * (1 - math.cos(omega0 * t)))
             assert abs(abs(f) - expected) < 1e-10
 
@@ -78,15 +78,15 @@ class TestAutocorrelation:
         start = coherent_state(2.0, n_trunc)
         rng = np.random.default_rng(11)
         for t in rng.uniform(0.05, 6.0, size=10):
-            f_series = autocorrelation(p, sol, float(t))
-            f_state = inner(start, evolved_state(p, sol, float(t), n_trunc))
+            f_series = autocorrelation(sol, float(t))
+            f_state = inner(start, evolved_state(sol, float(t), n_trunc))
             assert abs(f_series - f_state) < 1e-10
             assert abs(abs(f_series) ** 2 - abs(f_state) ** 2) < 1e-10
         # a whole series, on a coarse grid and off it, against the loop
         sol = integrate_wei_norman(p, 6.0, samples=61)
         for times in (None, np.linspace(0.013, 5.987, 37)):
-            ser = autocorrelation_series(p, sol, times)
-            loop = [inner(start, evolved_state(p, sol, float(t), n_trunc))
+            ser = autocorrelation_series(sol, times)
+            loop = [inner(start, evolved_state(sol, float(t), n_trunc))
                     for t in ser.times]
             np.testing.assert_allclose(ser.values, loop, rtol=0, atol=1e-12)
 
@@ -102,12 +102,12 @@ class TestAutocorrelation:
         off_grid = sol.times[picks[:-1]] + 0.37 * (sol.times[1] - sol.times[0])
         for times, at in ((None, sol.times[picks]),
                           (np.repeat(off_grid, 200), off_grid)):
-            values = autocorrelation_series(p, sol, times).values
+            values = autocorrelation_series(sol, times).values
             if times is None:
                 values = values[picks]
             else:
                 values = values[::200]
-            loop = [inner(start, evolved_state(p, sol, float(t), n_trunc))
+            loop = [inner(start, evolved_state(sol, float(t), n_trunc))
                     for t in at]
             np.testing.assert_allclose(values, loop, rtol=0, atol=1e-12)
 
@@ -118,18 +118,19 @@ class TestAutocorrelation:
     def test_policy_sized_series_matches_400_levels(self, name):
         # each block sums default_truncation(sqrt(max |alpha eta|)) levels;
         # the terms it leaves out are below rounding of a unit-size sum
-        _, p, sol = scenario_solution(name)
+        _, sol = scenario_solution(name)
+        p = sol.params
         start = coherent_amplitudes(p.alpha, 400).conj()
         full = _evolved_amplitudes(p, sol.times, sol.x1, sol.x3, sol.eta,
                                    400) @ start
-        np.testing.assert_allclose(autocorrelation_series(p, sol).values,
+        np.testing.assert_allclose(autocorrelation_series(sol).values,
                                    full, rtol=0, atol=1e-15)
 
     def test_amplitude_blocks_stay_within_the_cell_budget(self, monkeypatch):
         # the resonant Kerr-free drive pumps |eta| from 1 to 9.9, so the
         # last blocks sum 96 levels; each amplitude matrix holds at most
         # _BLOCK_CELLS cells, and the blocks cover the series once
-        _, p, sol = scenario_solution("autocorr_kerr_free")
+        _, sol = scenario_solution("autocorr_kerr_free")
         shapes = []
 
         def spy(*args):
@@ -137,14 +138,14 @@ class TestAutocorrelation:
             shapes.append(amplitudes.shape)
             return amplitudes
         monkeypatch.setattr(observables, "_evolved_amplitudes", spy)
-        autocorrelation_series(p, sol)
+        autocorrelation_series(sol)
         assert sum(rows for rows, _ in shapes) == sol.times.size
         assert max(rows * levels for rows, levels in shapes) <= _BLOCK_CELLS
 
     def test_series_container_invariants(self):
         p = fig2_params(0.25)
         sol = integrate_wei_norman(p, 3.0)
-        ser = autocorrelation_series(p, sol, np.linspace(0.0, 3.0, 301))
+        ser = autocorrelation_series(sol, np.linspace(0.0, 3.0, 301))
         assert abs(ser.abs_squared[0] - 1.0) < 1e-10
         assert ser.abs_squared.max() <= 1.0 + 1e-9
 
@@ -154,7 +155,7 @@ class TestDetectRevivals:
     def test_kerr_revivals_near_wrap_times(self):
         p = fig2_params(1.0)
         sol = integrate_wei_norman(p, 14.0)
-        ser = autocorrelation_series(p, sol, np.arange(0.0, 14.0, 0.01))
+        ser = autocorrelation_series(sol, np.arange(0.0, 14.0, 0.01))
         revs = detect_revivals(ser, 0.5)
         for k in (1, 2):
             target = 2 * math.pi * k
@@ -163,14 +164,14 @@ class TestDetectRevivals:
     def test_high_threshold_returns_empty(self):
         p = fig2_params(0.25)
         sol = integrate_wei_norman(p, 3.0)
-        ser = autocorrelation_series(p, sol, np.linspace(0.0, 3.0, 301))
+        ser = autocorrelation_series(sol, np.linspace(0.0, 3.0, 301))
         assert detect_revivals(ser, 1.1).size == 0
 
     @pytest.mark.filterwarnings("ignore:chi/omega0")
     def test_detects_the_first_revival(self):
         p = fig2_params(1.0)
         sol = integrate_wei_norman(p, 7.0)
-        ser = autocorrelation_series(p, sol, np.arange(0.0, 7.0, 0.01))
+        ser = autocorrelation_series(sol, np.arange(0.0, 7.0, 0.01))
         assert detect_revivals(ser, 0.5).size
 
     @pytest.mark.filterwarnings("ignore:chi/omega0")
@@ -182,8 +183,8 @@ class TestDetectRevivals:
         # loads it
         from scipy.signal import find_peaks, medfilt
 
-        cfg, p, sol = scenario_solution(name)
-        raw = autocorrelation_series(p, sol).abs_squared
+        cfg, sol = scenario_solution(name)
+        raw = autocorrelation_series(sol).abs_squared
         smooth = _median5(raw)
         np.testing.assert_array_equal(smooth, medfilt(raw, kernel_size=5))
         for height in (cfg.revival_threshold, 0.0, 0.1, 0.9):
@@ -311,7 +312,7 @@ class TestHusimiGrid:
     def test_horner_matches_log_space_overlap_on_fig2_state(self):
         p = fig2_params(0.25)
         sol = integrate_wei_norman(p, 8.0)
-        st = evolved_state(p, sol, 2.0, 66)
+        st = evolved_state(sol, 2.0, 66)
         g = husimi_grid(st, (-8, 8), (-8, 8), 101)
         assert np.abs(g.values - self.log_space_reference(g, st)).max() < 1e-14
 
@@ -357,7 +358,7 @@ class TestHusimiGrid:
         for _ in range(20):
             t = float(rng.uniform(0.1, 8.0))
             gam = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-            st = evolved_state(p, sol, t, n_trunc)
+            st = evolved_state(sol, t, n_trunc)
             g = husimi_grid(st, (gam.real, gam.real + 1e-3),
                             (gam.imag, gam.imag + 1e-3), 2)
             eta = sol.eta_at(t)
@@ -404,7 +405,7 @@ class TestHusimiSnapshot:
     def test_snapshot_covers_state_on_the_default_window(self):
         p = fig2_params(0.25)
         sol = integrate_wei_norman(p, 2.0)
-        g = husimi_snapshot(p, sol, 1.0, resolution=101)
+        g = husimi_snapshot(sol, 1.0, resolution=101)
         # the default window is |alpha| + 5 on each side
         assert g.x[0] == -(abs(p.alpha) + 5.0)
         assert abs(g.total_mass() - 1.0) < 1e-3

@@ -58,7 +58,7 @@ class TestIntegrateExact:
         n_trunc = 60
         run = integrate_exact(p, coherent_state(1.0, n_trunc), t_end,
                               tol=1e-10, sample_times=np.array([t_end]))
-        wn = evolved_state(p, sol, t_end, n_trunc)
+        wn = evolved_state(sol, t_end, n_trunc)
         assert fidelity(run.state_at(-1), wn) >= 1.0 - 1e-7
 
     def test_energy_conserved_without_drive(self):
@@ -263,11 +263,9 @@ class TestIntegrateExact:
         assert (run.steps.accepted, run.steps.rejected) == (203, 0)
 
     def test_frozen_fields_leave_the_callers_arrays_writeable(self):
-        p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
         times, states = np.array([0.0, 1.0]), np.ones((2, 3), dtype=complex)
         drift = np.zeros(2)
-        run = OracleRun(params=p, n_trunc=3, times=times, states=states,
-                        norm_drift=drift,
+        run = OracleRun(times=times, states=states, norm_drift=drift,
                         steps=StepRecord(1, 0, 1e-10, 0.0, 0.0, 0.0))
         for field, own in ((run.times, times), (run.states, states),
                            (run.norm_drift, drift)):
