@@ -37,7 +37,6 @@ from .fock import (
 )
 from .kerr_states import (
     KerrStateParams,
-    excitation_distribution,
     kerr_state,
     mandel_q,
     quadrature_variance_ratios,
@@ -68,8 +67,7 @@ __all__ = [
     "integrate_wei_norman", "linearized_ladder",
     "FockOperator", "FockState", "TruncationError", "apply", "coherent_state",
     "expectation", "inner", "number_state",
-    "KerrStateParams", "excitation_distribution", "kerr_state", "mandel_q",
-    "quadrature_variance_ratios",
+    "KerrStateParams", "kerr_state", "mandel_q", "quadrature_variance_ratios",
     "AutocorrSeries", "PhaseSpaceGrid", "autocorrelation",
     "autocorrelation_series", "detect_revivals", "husimi_grid",
     "husimi_snapshot",

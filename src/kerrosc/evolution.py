@@ -113,6 +113,11 @@ def linearized_ladder(params: ModelParams, n: int, t: float,
         Initial number-state level (the linearization premise).
     t : float
         Evaluation time, t >= 0.
+    tol : float
+        Positive accuracy; panels double until each integral moves by at
+        most max(tol**2, 1e-13), the panel kernel's floor.  Any tol below
+        about 3.2e-7, the default included, runs at that floor and gives
+        the same result.
     """
     if n < 0:
         raise ValueError("level index must be non-negative")

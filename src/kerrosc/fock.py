@@ -20,9 +20,6 @@ __all__ = [
     "FockOperator",
     "TruncationError",
     "annihilation_operator",
-    "creation_operator",
-    "number_operator",
-    "identity_operator",
     "position_operator",
     "momentum_operator",
     "displacement_operator",
@@ -133,9 +130,6 @@ class FockOperator:
     def n_trunc(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.matrix.conj().T)
-
 
 def annihilation_operator(n_trunc: int) -> FockOperator:
     """Ladder-down operator: <n|a|n+1> = sqrt(n+1)."""
@@ -143,18 +137,6 @@ def annihilation_operator(n_trunc: int) -> FockOperator:
     n = np.arange(1, n_trunc)
     mat[n - 1, n] = np.sqrt(n)
     return FockOperator(mat)
-
-
-def creation_operator(n_trunc: int) -> FockOperator:
-    return annihilation_operator(n_trunc).dagger()
-
-
-def number_operator(n_trunc: int) -> FockOperator:
-    return FockOperator(np.diag(np.arange(n_trunc, dtype=np.complex128)))
-
-
-def identity_operator(n_trunc: int) -> FockOperator:
-    return FockOperator(np.eye(n_trunc, dtype=np.complex128))
 
 
 def position_operator(n_trunc: int) -> FockOperator:

@@ -4,8 +4,8 @@
 of its coherent parent while acquiring non-Gaussian phase-space structure.
 The family is the coherent-state family of a deformed annihilation operator
 B = a f(n) with f(n) = exp(i xi (2n - 1)); the module provides the state
-amplitudes, the deformed ladder matrices, the excitation distribution, the
-Mandel Q parameter, and the closed-form normalized quadrature variances.
+amplitudes, the deformed ladder matrices, the Mandel Q parameter, and the
+closed-form normalized quadrature variances.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import (
-    FockOperator,
-    FockState,
-    coherent_amplitudes,
-    coherent_state,
-    default_truncation,
-)
+from .fock import FockOperator, FockState, coherent_state
 
 __all__ = [
     "KerrStateParams",
@@ -29,7 +23,6 @@ __all__ = [
     "kerr_state",
     "deformed_ladder",
     "modified_displacement",
-    "excitation_distribution",
     "quadrature_variance_ratios",
     "mandel_q",
     "mandel_q_state",
@@ -83,14 +76,6 @@ def modified_displacement(params: KerrStateParams, n_trunc: int) -> FockOperator
     b = deformed_ladder(float(params.xi), n_trunc).matrix
     return FockOperator(expm(params.beta * b.conj().T
                              - np.conj(params.beta) * b))
-
-
-def excitation_distribution(params: KerrStateParams,
-                            n_trunc: int | None = None) -> np.ndarray:
-    """Poisson probabilities P(n) = e^{-|b|^2} |b|^{2n} / n!; xi drops out."""
-    if n_trunc is None:
-        n_trunc = default_truncation(params.beta)
-    return np.abs(coherent_amplitudes(params.beta, n_trunc)) ** 2
 
 
 def quadrature_variance_ratios(params: KerrStateParams) -> tuple:

@@ -27,7 +27,6 @@ __all__ = [
     "autocorrelation_series",
     "detect_revivals",
     "husimi_grid",
-    "husimi_expectation",
     "husimi_snapshot",
     "find_grid_peaks",
 ]
@@ -213,18 +212,6 @@ def husimi_grid(state: FockState, x_range: tuple[float, float],
     # |.|^2 of a complex number: Q >= 0 by construction
     q = (np.abs(acc) * np.exp(log_gauss)) ** 2 / math.pi
     return PhaseSpaceGrid(x=x, y=y, values=q)
-
-
-def husimi_expectation(grid: PhaseSpaceGrid, samples: np.ndarray) -> complex:
-    """Anti-normal-ordered average: Riemann sum of Q * A over the grid.
-
-    `samples` must hold A(gamma, conj(gamma)) on the same grid layout.
-    """
-    samples = np.asarray(samples)
-    if samples.shape != grid.values.shape:
-        raise ValueError(f"observable samples shaped {samples.shape} do not "
-                         f"match the grid {grid.values.shape}")
-    return complex(np.sum(grid.values * samples) * grid.cell_area)
 
 
 def find_grid_peaks(grid: PhaseSpaceGrid,

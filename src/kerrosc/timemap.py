@@ -166,9 +166,6 @@ class HeisenbergQP:
     c_pq: float | np.ndarray
     c_pp: float | np.ndarray
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.c_qq, self.c_qp], [self.c_pq, self.c_pp]])
-
     def symplectic_determinant(self):
         return self.c_qq * self.c_pp - self.c_qp * self.c_pq
 

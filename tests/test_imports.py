@@ -1,7 +1,10 @@
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -80,3 +83,11 @@ def test_exact_run_loads_no_scipy():
             "oracle.integrate_exact(p, fock.coherent_state(1.0, 31), 1.0, "
             "sample_times=np.linspace(0.0, 1.0, 11))")
     assert loaded(code, ("scipy",)) == []
+
+
+@pytest.mark.parametrize("module", ["kerrosc"] + [
+    f"kerrosc.{info.name}"
+    for info in pkgutil.iter_modules([str(SRC / "kerrosc")])])
+def test_star_import_finds_every_exported_name(module):
+    # a name deleted from a module but left in its __all__ fails here
+    exec(f"from {module} import *", {})

@@ -16,7 +16,6 @@ from kerrosc.fock import (
 from kerrosc.kerr_states import (
     KerrStateParams,
     deformed_ladder,
-    excitation_distribution,
     kerr_state,
     mandel_q,
     mandel_q_state,
@@ -65,6 +64,31 @@ class TestKerrState:
     def test_truncation_guard(self):
         with pytest.raises(TruncationError):
             kerr_state(KerrStateParams(3.0, 0.4), 12)
+
+    @pytest.mark.parametrize("beta", [3.0, 1.0])
+    @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+                                      (1, 6), (1, 8), (3, 8), (2, 5)])
+    def test_fractional_revival_is_a_gauss_sum(self, beta, p, q):
+        # at xi = pi p/q the state is sum_k c_k |beta e^{-2 pi i k/L}>, with
+        # L = q for even pq, else 2q, and c_k the Gauss sum
+        # L^-1 sum_{m<L} e^{-i pi p m^2/q} e^{2 pi i k m/L} (Averbukh and
+        # Perelman, Phys. Lett. A 139, 449 (1989)); exactly q weights are
+        # nonzero, each 1/q
+        n_levels = 60
+        big_l = q if p * q % 2 == 0 else 2 * q
+        m = np.arange(big_l)
+        c = np.exp(-1j * math.pi * p * m ** 2 / q
+                   + 2j * math.pi * np.outer(m, m) / big_l).mean(axis=1)
+        superposition = sum(
+            ck * coherent_state(beta * np.exp(-2j * math.pi * k / big_l),
+                                n_levels).amplitudes
+            for k, ck in enumerate(c))
+        s = kerr_state(KerrStateParams(beta, math.pi * p / q), n_levels)
+        assert np.abs(s.amplitudes - superposition).max() <= 1e-13
+        weights = np.abs(c) ** 2
+        nonzero = weights[weights > 1e-12]
+        assert nonzero.size == q
+        np.testing.assert_allclose(nonzero, 1.0 / q, rtol=0.0, atol=1e-12)
 
 
 class TestDeformedLadder:
@@ -122,29 +146,31 @@ class TestKerrHamiltonianForm:
 
 class TestExcitationDistribution:
     def test_vacuum(self):
-        p = excitation_distribution(KerrStateParams(0.0, 0.5), 10)
+        p = kerr_state(KerrStateParams(0.0, 0.5), 10).occupations()
         assert p[0] == 1.0 and p[1:].max() == 0.0
 
     def test_integer_mean_has_two_modes(self):
-        p = excitation_distribution(KerrStateParams(3.0, 0.3), 60)
+        p = kerr_state(KerrStateParams(3.0, 0.3), 60).occupations()
         assert abs(p[8] - p[9]) < 1e-15
         assert p[8] > p[7] and p[9] > p[10]
 
     def test_normalized_over_window(self):
-        p = excitation_distribution(KerrStateParams(2.0, 1.0))
+        p = kerr_state(KerrStateParams(2.0, 1.0)).occupations()
         assert abs(p.sum() - 1.0) < 1e-12
 
     @given(st.floats(0.1, 2.5), st.floats(0.0, 2 * math.pi))
     @settings(max_examples=25, deadline=None)
     def test_xi_independent(self, b, xi):
-        p0 = excitation_distribution(KerrStateParams(b, 0.0), 40)
-        p1 = excitation_distribution(KerrStateParams(b, xi), 40)
+        p0 = kerr_state(KerrStateParams(b, 0.0), 40).occupations()
+        p1 = kerr_state(KerrStateParams(b, xi), 40).occupations()
         assert np.abs(p0 - p1).max() < 1e-12
 
     def test_matches_state_occupations(self):
         par = KerrStateParams(1.4 * np.exp(0.9j), 1.3)
         s = kerr_state(par, 50)
-        p = excitation_distribution(par, 50)
+        mu = abs(par.beta) ** 2
+        p = [math.exp(-mu + n * math.log(mu) - math.lgamma(n + 1))
+             for n in range(50)]
         assert np.abs(s.occupations() - p).max() < 1e-10
 
 

@@ -282,7 +282,8 @@ class TestEnergyLevel:
 class TestHeisenbergCoefficients:
     def test_identity_at_t0(self):
         qp = heisenberg_coefficients(1.0, 1.0, 0.4, 0.0)
-        np.testing.assert_allclose(qp.matrix(), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose([[qp.c_qq, qp.c_qp], [qp.c_pq, qp.c_pp]],
+                                   np.eye(2), atol=1e-14)
 
     def test_zero_rate_limit_matches_constant_mass_oscillator(self):
         m0, w0, t = 1.3, 0.9, 2.1
