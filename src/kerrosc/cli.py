@@ -27,12 +27,11 @@ from .driven import displacement_amplitude, energy_level
 from .evolution import (
     ModelParams,
     WeiNormanSolution,
-    _checked_coefficients,
     _evolved_amplitudes,
     integrate_wei_norman,
 )
 from .fock import (SUPPORT_MARGIN, TruncationError, _row_blocks,
-                   coherent_state, default_truncation)
+                   checked_truncation, coherent_state, default_truncation)
 from .integrators import StepSizeError
 from .kerr_states import KerrStateParams, quadrature_variance_ratios
 from .observables import (autocorrelation_series, detect_revivals,
@@ -199,12 +198,11 @@ def run_oracle(cfg: ScenarioConfig, write):
     params = _model_params(cfg)
     sol = integrate_wei_norman(params, cfg.t_end, samples=cfg.samples)
     n_trunc = cfg.truncation or _auto_truncation(sol)
-    times, eta = sol.times, sol.eta
+    times = sol.times
     drift, fid = np.empty(times.size), np.empty(times.size)
 
     def reduce(part, exact, norm_drift):
-        model = _evolved_amplitudes(params, times[part], sol.x1[part],
-                                    sol.x3[part], eta[part], n_trunc)
+        model = _evolved_amplitudes(sol, times[part], n_trunc)
         drift[part] = norm_drift
         fid[part] = np.abs(np.vecdot(exact, model)) ** 2 / (
             np.vecdot(exact, exact).real * np.vecdot(model, model).real)
@@ -213,7 +211,7 @@ def run_oracle(cfg: ScenarioConfig, write):
                           cfg.t_end, cfg.tolerance, times, reduce)
     # the factorized state's tail check after the oracle's guard, which
     # names the sample time where a too small basis is reached
-    _checked_coefficients(sol, times, n_trunc)
+    checked_truncation(np.abs(sol.eta).max(), n_trunc)
     cols, rows = _wei_norman_rows(sol)
     worst = int(np.argmin(fid))
     write("oracle", cols + ["norm_drift", "fidelity"],

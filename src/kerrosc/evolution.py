@@ -283,31 +283,26 @@ def evolved_state(sol: WeiNormanSolution, t: float,
         If n_trunc (default `default_truncation(eta_t)`) is below 1, or the
         Poisson tail of |eta_t|^2 beyond it reaches `fock.TAIL_MASS`.
     """
-    x1, x3, eta, n_trunc = _checked_coefficients(sol, t, n_trunc)
-    amps = _evolved_amplitudes(sol.params, t, x1, x3, eta, n_trunc)
+    n_trunc = checked_truncation(sol.eta_at(t), n_trunc)
+    amps = _evolved_amplitudes(sol, t, n_trunc)
     amps /= np.linalg.norm(amps)
     return FockState(amps, normalized=True)
 
 
-def _checked_coefficients(sol: WeiNormanSolution, t, n_trunc: int | None):
-    """X1, X3, eta, n_trunc at t (a time or array) for `_evolved_amplitudes`;
-    the tail grows with the mean, so one check at the largest covers all."""
-    x1, x2, x3 = sol._at(t)
-    eta = x2 + sol.params.alpha
-    peak = np.ravel(eta)[np.argmax(np.abs(eta))]
-    return x1, x3, eta, checked_truncation(peak, n_trunc)
+def _evolved_amplitudes(sol: WeiNormanSolution, t, n_trunc: int) -> np.ndarray:
+    """The c_n of `evolved_state` before renormalization, on n_trunc levels.
 
-
-def _evolved_amplitudes(params: ModelParams, t, x1, x3, eta,
-                        n_trunc: int) -> np.ndarray:
-    """The c_n of `evolved_state` before renormalization.
-
-    t and the coefficients X1, X3, eta at t may be arrays of one shape; the
-    levels then run along a new last axis.
+    X1, X2 and X3 at t come from `sol._at` and the model from `sol.params`.
+    t may be an array; the levels then run along a new last axis.  On the
+    solution grid `_at` reads stored values; a time off it costs a panel
+    quadrature, which an off-grid `evolved_state` pays twice, since it also
+    reads eta_t there to check its basis.
     """
+    params = sol.params
+    x1, x2, x3 = sol._at(t)
     t = np.asarray(t)[..., None]
     g_phase = np.asarray(x1 + x3 * params.alpha).imag[..., None] \
         - 0.5 * params.omega0 * t
-    rotated = np.exp(-1j * params.omega0 * t[..., 0]) * eta
+    rotated = np.exp(-1j * params.omega0 * t[..., 0]) * (x2 + params.alpha)
     return coherent_amplitudes(rotated, n_trunc) * np.exp(
         1j * (g_phase - params.chi * t * np.arange(n_trunc) ** 2))

@@ -77,15 +77,12 @@ def autocorrelation_series(sol: WeiNormanSolution,
     """
     params = sol.params
     times = sol.times if times is None else np.asarray(times, dtype=float)
-    x1, x2, x3 = sol._at(times)  # one quadrature for all three
-    eta = x2 + params.alpha
-    reach = np.abs(params.alpha * eta)
+    reach = np.abs(params.alpha * sol.eta_at(times))
     values = np.empty(times.shape, dtype=np.complex128)
     width = default_truncation(math.sqrt(np.max(reach, initial=0.0)))
     for part in _row_blocks(times.size, width):
         n_top = default_truncation(math.sqrt(np.max(reach[part])))
-        values[part] = _evolved_amplitudes(
-            params, times[part], x1[part], x3[part], eta[part], n_top) \
+        values[part] = _evolved_amplitudes(sol, times[part], n_top) \
             @ coherent_amplitudes(params.alpha, n_top).conj()
     return AutocorrSeries(times=times, values=values)
 

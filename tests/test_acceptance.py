@@ -21,12 +21,13 @@ from kerrosc.fock import (
     position_operator,
 )
 from kerrosc.kerr_states import (KerrStateParams, kerr_state, mandel_q,
-                                 quadrature_variance_ratios)
+                                 mandel_q_state, quadrature_variance_ratios)
 from kerrosc.observables import (
     autocorrelation,
     autocorrelation_series,
     detect_revivals,
     find_grid_peaks,
+    husimi_grid,
     husimi_snapshot,
 )
 from kerrosc.oracle import fidelity, integrate_exact, integrate_schrodinger
@@ -57,18 +58,36 @@ def kerr_free_solution():
 
 
 @pytest.fixture(scope="module")
-def fig2_fidelity(fig2_solution):
-    """(times, fidelities) of the factorized state against one oracle run
-    on 801 samples over t <= 8pi, every tenth point of fig2_solution's grid."""
-    p = fig2_params(0.25)
+def fig2_exact(fig2_solution):
+    """(times, run): the one oracle run of the fig. 2 model, on 801 samples
+    over t <= 8pi, every tenth point of fig2_solution's grid, on 66 levels
+    at tol 1e-10.  Sample k is at t = k pi / 100."""
     n_trunc = default_truncation(
         float(np.abs(fig2_solution.eta).max())) + 10
     psi0 = coherent_state(3.0, n_trunc)
     times = np.linspace(0.0, 8 * math.pi, 801)
-    run = integrate_exact(p, psi0, times[-1], tol=1e-10, sample_times=times)
+    return times, integrate_exact(fig2_params(0.25), psi0, times[-1],
+                                  tol=1e-10, sample_times=times)
+
+
+@pytest.fixture(scope="module")
+def fig2_fidelity(fig2_solution, fig2_exact):
+    """(times, fidelities) of the factorized state against fig2_exact."""
+    times, run = fig2_exact
+    n_trunc = run.states.shape[1]
     return times, np.array([
         fidelity(run.state_at(i), evolved_state(fig2_solution, t, n_trunc))
         for i, t in enumerate(times.tolist())])
+
+
+def gauss_sum_components(state, beta, L):
+    """Least-squares coefficients of `state` on the L coherent states
+    |beta e^{-2 pi i k / L}>, and the state's weight in their span."""
+    comps = np.stack([coherent_state(beta * np.exp(-2j * math.pi * k / L),
+                                     state.n_trunc).amplitudes
+                      for k in range(L)], axis=1)
+    coeffs = np.linalg.lstsq(comps, state.amplitudes, rcond=None)[0]
+    return coeffs, float(np.linalg.norm(comps @ coeffs) ** 2)
 
 
 class TestCriterion1MandelQ:
@@ -81,6 +100,20 @@ class TestCriterion1MandelQ:
             q = mandel_q(KerrStateParams(beta, xi), 60).q
             worst = max(worst, abs(q))
         assert report("1", worst < 1e-9, f"max |Q| = {worst:.2e}")
+
+    def test_1b_exact_route_mandel_q_reported(self, fig2_exact):
+        # Every factorized state is a Kerr-phased coherent state, Q = 0; the
+        # exact fig. 2 state is not.  Reported, and pinned: the oracle at tol
+        # 1e-10 moves Q by 4.9e-14 against tol 1e-12, so 1e-12 holds it.
+        times, run = fig2_exact
+        qs = np.array([mandel_q_state(run.state_at(i)).q
+                       for i in range(times.size)])
+        k = int(np.argmax(np.abs(qs)))
+        report("1b", True, f"exact-route max |Mandel Q| over t <= 8pi "
+                           f"(chi=0.25, alpha=3): Q = {qs[k]:.6f} at "
+                           f"t = {times[k]:.4f}")
+        assert k == 24
+        assert qs[k] == pytest.approx(-0.332518783266, abs=1e-12)
 
 
 class TestCriterion2Variances:
@@ -213,6 +246,71 @@ class TestCriterion4Husimi:
                 ok &= abs(top - expected_pos) < 0.2
                 details.append(f"revived peak offset = {abs(top - expected_pos):.3f}")
         assert report("4", ok, "; ".join(details))
+
+    @pytest.mark.parametrize("index, L, weights, span, fid, offsets", [
+        (100, 4, [0.245152185073, 0.246320839159, 0.241515480997,
+                  0.245798174667], 0.978808210742, 0.704341890495,
+         [0.0, -0.254175692500, 0.000187480910, 0.254480197279]),
+        (200, 2, [0.490367720444, 0.483250932040], 0.973618652480,
+         0.973605171554, [0.0, 0.000444898269]),
+    ])
+    def test_4b_fractional_revival_components(
+            self, fig2_solution, fig2_exact, fig2_fidelity,
+            index, L, weights, span, fid, offsets):
+        # At xi = chi t = pi/4 (tau = pi) and pi/2 (tau = 2pi) the branch is
+        # a Gauss sum of L coherent states |beta e^{-2 pi i k/L}>, with
+        # beta = e^{-i Omega0 t} eta_t (Yurke & Stoler, PRL 57, 13 (1986)).
+        # The exact state's least-squares coefficients on the same L states
+        # give its weights, its fraction in their span, and its phase
+        # offsets from the branch's coefficients, relative to component 0.
+        # Pinned: the oracle at tol 1e-10 moves each value by at most
+        # 3.5e-13 against tol 1e-12, so 1e-11 holds them.
+        times, run = fig2_exact
+        t = times[index]
+        beta = np.exp(-1j * fig2_solution.params.omega0 * t) \
+            * fig2_solution.eta_at(t)
+        exact, in_span = gauss_sum_components(run.state_at(index), beta, L)
+        branch, _ = gauss_sum_components(
+            evolved_state(fig2_solution, t, run.states.shape[1]), beta, L)
+        shift = exact / branch
+        offset = np.angle(shift / shift[0]) / math.pi
+        weight = np.abs(exact) ** 2
+        report("4b", True, f"tau = {t:.4f}: exact weights "
+                           f"{weight.min():.4f}-{weight.max():.4f}, "
+                           f"in the span {in_span:.4f}, fidelity "
+                           f"{fig2_fidelity[1][index]:.3f}, phase offsets "
+                           f"from the branch {np.round(offset, 4).tolist()} pi")
+        np.testing.assert_allclose(weight, weights, rtol=0, atol=1e-11)
+        assert in_span == pytest.approx(span, abs=1e-11)
+        assert fig2_fidelity[1][index] == pytest.approx(fid, abs=1e-11)
+        np.testing.assert_allclose(offset, offsets, rtol=0, atol=1e-11)
+
+    def test_4c_husimi_snapshots_against_the_exact_state(self, fig2_solution,
+                                                          fig2_exact):
+        # The times of scenarios/husimi_snapshots.yaml, tau = 0, pi/4, pi,
+        # 2pi, 4pi and 8pi, on husimi_snapshot's default window (half-width
+        # |alpha| + 5 = 8, 201 points per axis).  Pinned: the oracle at tol
+        # 1e-10 moves max |dQ| / max Q by at most 4.6e-12 against tol 1e-12,
+        # so 1e-10 holds it.
+        times, run = fig2_exact
+        window = (-8.0, 8.0)
+        counts, distances = [], []
+        for i in (0, 25, 100, 200, 400, 800):
+            exact = husimi_grid(run.state_at(i), window, window, 201)
+            branch = husimi_grid(evolved_state(
+                fig2_solution, times[i], run.states.shape[1]),
+                window, window, 201)
+            counts.append((len(find_grid_peaks(exact, 0.2)),
+                           len(find_grid_peaks(branch, 0.2))))
+            distances.append(np.abs(exact.values - branch.values).max()
+                             / exact.values.max())
+        report("4c", True, "peaks exact/branch at tau = 0, pi/4, pi, 2pi, "
+                           f"4pi, 8pi: {counts}; max |dQ| / max Q: "
+                           f"{np.round(distances, 3).tolist()}")
+        assert counts == [(1, 1), (3, 2), (4, 4), (2, 2), (1, 1), (1, 1)]
+        np.testing.assert_allclose(
+            distances, [0.0, 0.114014288891, 0.182634694832, 0.180635934162,
+                        0.073214703681, 0.025777805807], rtol=0, atol=1e-10)
 
 
 class TestCriterion5TimeReparametrization:

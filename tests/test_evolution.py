@@ -8,7 +8,6 @@ from kerrosc.driven import DriveSpec
 from kerrosc.evolution import (
     ModelParams,
     WeiNormanSolution,
-    _checked_coefficients,
     _evolved_amplitudes,
     drive_coefficient,
     evolved_state,
@@ -20,6 +19,7 @@ from kerrosc.fock import (
     FockOperator,
     TruncationError,
     annihilation_operator,
+    checked_truncation,
     coherent_state,
     default_truncation,
     expectation,
@@ -438,8 +438,8 @@ class TestEvolvedState:
         p = cosine_params(omega0=1.0, chi=0.0, alpha=0.0)
         sol = integrate_wei_norman(p, 30.0, samples=31)
         early = sol.times[:5]
-        x1, x3, eta, n_trunc = _checked_coefficients(sol, early, 30)
-        amps = _evolved_amplitudes(p, early, x1, x3, eta, n_trunc)
+        assert checked_truncation(np.abs(sol.eta[:5]).max(), 30) == 30
+        amps = _evolved_amplitudes(sol, early, 30)
         assert amps.shape == (5, 30)
         for t, row in zip(early, amps):
             np.testing.assert_allclose(
@@ -447,4 +447,4 @@ class TestEvolvedState:
                 evolved_state(sol, float(t), 30).amplitudes,
                 rtol=0, atol=1e-15)
         with pytest.raises(TruncationError):
-            _checked_coefficients(sol, sol.times, 30)
+            checked_truncation(np.abs(sol.eta).max(), 30)

@@ -120,8 +120,7 @@ class TestAutocorrelation:
         _, sol = scenario_solution(name)
         p = sol.params
         start = coherent_amplitudes(p.alpha, 400).conj()
-        full = _evolved_amplitudes(p, sol.times, sol.x1, sol.x3, sol.eta,
-                                   400) @ start
+        full = _evolved_amplitudes(sol, sol.times, 400) @ start
         np.testing.assert_allclose(autocorrelation_series(sol).values,
                                    full, rtol=0, atol=1e-15)
 
