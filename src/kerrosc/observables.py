@@ -80,10 +80,10 @@ def autocorrelation_series(sol: WeiNormanSolution,
     reach = np.abs(params.alpha * sol.eta_at(times))
     values = np.empty(times.shape, dtype=np.complex128)
     width = default_truncation(math.sqrt(np.max(reach, initial=0.0)))
+    bra = coherent_amplitudes(params.alpha, width).conj()
     for part in _row_blocks(times.size, width):
-        n_top = default_truncation(math.sqrt(np.max(reach[part])))
-        values[part] = _evolved_amplitudes(sol, times[part], n_top) \
-            @ coherent_amplitudes(params.alpha, n_top).conj()
+        n = default_truncation(math.sqrt(np.max(reach[part])))
+        values[part] = _evolved_amplitudes(sol, times[part], n) @ bra[:n]
     return AutocorrSeries(times=times, values=values)
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .driven import FrequencySpec, _check_kind, _interpolated
+from .driven import FrequencySpec, _check_kind, _finite, _interpolated
 from .fock import FockState
 from .integrators import _panel_quadrature
 
@@ -178,6 +178,8 @@ def heisenberg_coefficients(m0: float, omega0: float, rate: float,
     theta = atan2(F, rate) with F = sqrt(4 omega0^2 - rate^2) makes t = 0 the
     identity map.
     """
+    m0, omega0, rate = map(_finite, ("m0", "omega0", "rate"),
+                           (m0, omega0, rate))
     if m0 <= 0.0 or omega0 <= 0.0:
         raise ValueError("mass and frequency must be positive")
     disc = 4.0 * omega0 ** 2 - rate ** 2

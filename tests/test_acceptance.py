@@ -404,8 +404,10 @@ class TestCriterion6WeiNormanFidelity:
 
     def test_6c_minimum_fidelity_over_the_window(self, fig2_fidelity):
         # Pinned on the 801-point grid.  The oracle at tol 1e-10 moves these
-        # fidelities by at most 4.1e-10 against tol 1e-12, and by 2.7e-8 at
-        # tol 1e-8, so 1e-8 tells a looser oracle apart.  The grid neighbours
+        # fidelities by at most 4.3e-12 against tol 1e-12, and a tol-1e-8 run
+        # lands within 4.1e-14 of the tol-1e-10 one: at 1e-8 the sample grid
+        # sets all 801 steps (peak estimate 0.006 of budget), so the 1e-8
+        # pin cannot tell a looser oracle apart.  The grid neighbours
         # of the minimum lie more than 1e-3 above it, so its time is a grid
         # point.  The grid reads the true minimum high: 0.565776 at
         # t = 19.1108 on a 4,001-point grid over [18.9, 19.3] at tol 1e-12,

@@ -145,6 +145,11 @@ class TestSubcommands:
                          evolved_state(sol, float(t), 30))
                 for i, t in enumerate(run.times)]
         np.testing.assert_allclose(data[:, -1], loop, rtol=0, atol=1e-12)
+        # the drift column, reduced block by block, is the whole run's
+        # |norm - 1| as written ("%.12g")
+        drift = np.abs(np.linalg.norm(run.states, axis=1) - 1.0)
+        np.testing.assert_array_equal(data[:, -2],
+                                      [float("%.12g" % v) for v in drift])
         # the oracle_steps header is the same run's StepRecord
         line, = (h for h in header if h.startswith("# oracle_steps: "))
         steps = dict(kv.split("=") for kv in line.split(": ", 1)[1].split())
@@ -204,7 +209,7 @@ class TestSubcommands:
         params = _model_params(cfg)
         psi0 = coherent_state(params.alpha, 60)
 
-        def take(part, states, norm_drift):
+        def take(part, states):
             pass
 
         grids = [np.linspace(0.0, cfg.t_end, n) for n in (50, 500, 2000)]

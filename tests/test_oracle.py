@@ -38,6 +38,17 @@ from kerrosc.timemap import MassSpec, evolve_via_timemap, physical_time
 from test_observables import assert_frozen_view
 
 
+def guard_message(error, start, end):
+    """The defect and the bound of a norm-guard OracleError, after checking
+    that it names the step from t=start to t=end."""
+    found = re.fullmatch(rf"norm defect (\S+) in the step from t={start} to "
+                         rf"t={end} exceeds its bound (\S+)", str(error))
+    assert found, str(error)
+    defect, bound = float(found[1]), float(found[2])
+    assert defect > bound
+    return defect, bound
+
+
 class TestIntegrateExact:
     def test_zero_drive_number_state_acquires_phase_only(self):
         p = ModelParams(omega0=1.0, chi=0.3, drive=DriveSpec.zero())
@@ -81,15 +92,18 @@ class TestIntegrateExact:
             integrate_exact(p, coherent_state(1.0, 30), 1.0)
 
     def test_norm_drift_within_bound(self):
+        # the kept states hold unit norm to rounding, and the defect the
+        # rescale removed is at rounding too
         p = ModelParams(omega0=1.0, chi=0.25,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
         run = integrate_exact(p, coherent_state(1.0, 50), 10.0, tol=1e-10)
-        assert run.norm_drift.max() <= 1e-8
+        assert np.abs(np.linalg.norm(run.states, axis=1) - 1.0).max() <= 1e-14
+        assert run.steps.defect <= 1e-13
 
     def test_memory_beyond_the_states_does_not_grow_with_samples(self):
         # the traced peak past the states grows by less than one block of
-        # states when the samples grow tenfold; the drift column is the
-        # whole-array norm, bit for bit
+        # states when the samples grow tenfold; every block's states keep
+        # unit norm to rounding
         p = ModelParams(omega0=1.0, chi=0.2,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
         psi0 = coherent_state(1.0, 60)
@@ -103,8 +117,8 @@ class TestIntegrateExact:
                              - run.states.nbytes)
             finally:
                 tracemalloc.stop()
-            np.testing.assert_array_equal(run.norm_drift, np.abs(
-                np.linalg.norm(run.states, axis=1) - 1.0))
+            assert np.abs(np.linalg.norm(run.states, axis=1)
+                          - 1.0).max() <= 1e-14
         assert extra[1] - extra[0] < _BLOCK_CELLS * 16, extra
 
     def test_boundary_reached_mid_run_names_the_first_sample_past_it(self):
@@ -180,8 +194,11 @@ class TestIntegrateExact:
         record, = caplog.records
         assert record.steps is steps
         assert record.getMessage().endswith(f", {steps}")
-        assert "peak norm drift" in record.getMessage()
-        assert "peak boundary population" in record.getMessage()
+        # the route's own part is the phase tables and the boundary
+        # population; the norm shows once, as the record's defect
+        assert re.match(r"integrate_exact: \d+ phase tables, peak boundary "
+                        r"population \S+, \d+ accepted", record.getMessage())
+        assert record.getMessage().count("norm") == 1
         # the text's time per attempted step is the wall seconds over the
         # accepted and rejected steps
         assert str(StepRecord(3, 1, 1e-9, 0.5, 1e-15, 0.002)).endswith(
@@ -228,27 +245,51 @@ class TestIntegrateExact:
 
     def test_norm_defect_shows_a_kept_column_off_by_1e7(self, caplog,
                                                            monkeypatch):
-        # T44 is not unitary, and the controller reports the defect its
-        # rescale removes: at rounding on the true tableau, and at the size
-        # of a T44 weight off by 1e-7 (the estimate column left as it is),
-        # while the rescaled states keep their norm either way
+        # T44 is not unitary, and the controller bounds the defect its
+        # rescale removes: at rounding on the true tableau, the run passes
+        # with its states at unit norm; with a T44 weight off by 1e-7 (the
+        # estimate column left as it is) the defect is 1e-7, about 2e5
+        # times its bound, and the first step ends the run
         p = ModelParams(omega0=1.0, chi=0.25,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
 
-        def defect():
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
-                run = integrate_exact(p, coherent_state(3.0, 66), 1.0,
-                                      sample_times=np.linspace(0.0, 1.0, 11))
-            assert run.norm_drift.max() <= 1e-14
-            assert caplog.records[0].steps == run.steps
-            return run.steps.defect
+        def run():
+            return integrate_exact(p, coherent_state(3.0, 66), 1.0,
+                                   sample_times=np.linspace(0.0, 1.0, 11))
 
-        assert defect() <= 1e-13
+        with caplog.at_level(logging.DEBUG, logger="kerrosc.oracle"):
+            good = run()
+        assert np.abs(np.linalg.norm(good.states, axis=1)
+                      - 1.0).max() <= 1e-14
+        assert caplog.records[0].steps == good.steps
+        assert good.steps.defect <= 1e-13
         mutated = _EXTRAPOLATION.copy()
         mutated[0, 0] += 1e-7
         monkeypatch.setattr(oracle, "_EXTRAPOLATION", mutated)
-        assert defect() >= 1e-8
+        with pytest.raises(OracleError) as info:
+            run()
+        print(info.value)  # shown by the report-only CI step (-s)
+        defect, bound = guard_message(info.value, "0", "0.001")
+        assert 1e-8 <= defect and 1e4 * bound <= defect
+
+    def test_non_orthogonal_rotation_ends_the_run(self, monkeypatch):
+        # W of the chiral form made non-orthogonal: the column of P with the
+        # largest overlap on the fig. 2 state scaled by 1 + 1e-9.  The
+        # chains then disagree in norm growth, the estimate stays far over
+        # its budget however short the step, and the run is refused at once
+        p = ModelParams(omega0=1.0, chi=0.25,
+                        drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
+        psi0 = coherent_state(3.0, 66)
+        model = _chiral_model(p, 66)
+        j = int(np.argmax(np.abs(psi0.amplitudes[::2] @ model[2][0])))
+        mutated = model[2].copy()
+        mutated[0, :, j] *= 1.0 + 1e-9
+        monkeypatch.setattr(oracle, "_chiral_model",
+                            lambda *args: model[:2] + (mutated,) + model[3:])
+        with pytest.raises(StepSizeError, match="underflow at t=0$") as info:
+            integrate_exact(p, psi0, 1.0,
+                            sample_times=np.linspace(0.0, 1.0, 11))
+        print(info.value)  # shown by the report-only CI step (-s)
 
     def test_step_counts_pinned_in_the_fig2_regime(self):
         # a quarter of the fig. 2 run (chi = 0.25, alpha = 3, 66 levels) with
@@ -264,11 +305,9 @@ class TestIntegrateExact:
 
     def test_frozen_fields_leave_the_callers_arrays_writeable(self):
         times, states = np.array([0.0, 1.0]), np.ones((2, 3), dtype=complex)
-        drift = np.zeros(2)
-        run = OracleRun(times=times, states=states, norm_drift=drift,
+        run = OracleRun(times=times, states=states,
                         steps=StepRecord(1, 0, 1e-10, 0.0, 0.0, 0.0))
-        for field, own in ((run.times, times), (run.states, states),
-                           (run.norm_drift, drift)):
+        for field, own in ((run.times, times), (run.states, states)):
             assert_frozen_view(field, own)
 
     def test_rejects_unsorted_sample_times(self):
@@ -282,6 +321,14 @@ class TestIntegrateExact:
         bad = FockState(np.ones(20) * 0.1)
         with pytest.raises(ValueError, match="normalized"):
             integrate_exact(p, bad, 1.0)
+
+    def test_rejects_nan_initial_state(self):
+        # refused before the run: a NaN state sampled at t = 0 alone would
+        # take no step for the norm guard to see
+        p = ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero())
+        bad = FockState(np.append(math.nan, np.zeros(19)))
+        with pytest.raises(ValueError, match="normalized"):
+            integrate_exact(p, bad, 1.0, sample_times=np.array([0.0]))
 
 
 class TestExactPair:
@@ -546,6 +593,29 @@ class TestIntegrateSchrodinger:
             overlap = np.vdot(direct, mapped)
             assert np.linalg.norm(
                 mapped - overlap / abs(overlap) * direct) <= 1e-8
+
+    def test_kept_column_off_by_1e7_ends_the_run(self, monkeypatch):
+        # the norm guard is the step controller's, so it serves this route
+        # too: on check 5's direct H(t) (40 levels) a T44 weight off by 1e-7
+        # gives a defect of 1e-7 against a budget tol * h of about 2.5e-12,
+        # and the first step ends the run
+        n, rate = 40, 0.3
+        q2 = position_operator(n).matrix @ position_operator(n).matrix
+        p2 = momentum_operator(n).matrix @ momentum_operator(n).matrix
+
+        def h_direct(t):
+            m = math.exp(rate * t)
+            return p2 / (2 * m) + 0.5 * m * q2
+
+        mutated = _EXTRAPOLATION.copy()
+        mutated[0, 0] += 1e-7
+        monkeypatch.setattr(oracle, "_EXTRAPOLATION", mutated)
+        with pytest.raises(OracleError) as info:
+            integrate_schrodinger(h_direct, coherent_state(1.0, n), 2.5,
+                                  tol=1e-9)
+        print(info.value)  # shown by the report-only CI step (-s)
+        defect, bound = guard_message(info.value, "0", "0.0025")
+        assert 1e-8 <= defect and 1e4 * bound <= defect
 
 
 class TestSchrodingerPropagator:

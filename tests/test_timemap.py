@@ -301,6 +301,17 @@ class TestHeisenbergCoefficients:
         with pytest.raises(ValueError, match="overdamped"):
             heisenberg_coefficients(1.0, 0.4, 1.0, 1.0)
 
+    @pytest.mark.parametrize("name, args", [
+        ("m0", (math.nan, 1.0, 0.4)),
+        ("rate", (1.0, 1.0, math.nan)),
+        ("omega0", (1.0, math.inf, 0.4)),
+        ("m0", (-math.inf, 1.0, 0.4)),
+    ])
+    def test_non_finite_parameter_refused_by_name(self, name, args):
+        # m0 = nan once gave finite c_qq and c_pp beside NaN c_qp and c_pq
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            heisenberg_coefficients(*args, 1.0)
+
     def test_solves_damped_oscillator_equation(self):
         # q(t) obeys q'' + rate q' + w0^2 q = 0 for each column
         m0, w0, rate = 1.0, 1.2, 0.5
