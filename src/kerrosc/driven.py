@@ -4,13 +4,14 @@ The instantaneous Hamiltonian Omega(t)(n + 1/2) + e(t)/sqrt(2 Omega) (a + a^dag)
 is diagonalized by a displacement of amplitude lambda_t; the module provides
 the shifted spectrum, the displaced number eigenstates on the truncated basis,
 and the matching position-space eigenfunctions built from the normalized
-Hermite-function recurrence.
+Hermite-function recurrence.  The drive e(t), a `DriveSpec`, shares one
+checked, tabulated base, `_TimeSpec`, with the mass `timemap.MassSpec`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, dataclass, field, fields
 
 import numpy as np
 
@@ -39,21 +40,31 @@ __all__ = [
 _MAX_HERMITE = 200
 
 
-@dataclass(frozen=True)
-class DriveSpec:
-    """Classical drive e(t): zero, constant, cosine, or tabulated samples.
-    Called with a time or an array of times; a scalar time gives a float.
-    `KINDS` maps each kind to the parameters it takes; specs compare and
-    hash by value, tabulated samples included."""
+def _finite(name: str, value) -> float:
+    """float(value), refused with a message naming it unless finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
-    KINDS = {"zero": (), "constant": ("value",),
-             "cosine": ("amplitude", "frequency"),
-             "tabulated": ("times", "values")}
+
+@dataclass(frozen=True)
+class _TimeSpec:
+    """A time function: a closed form `_closed(t)` for each of its `KINDS`
+    but "tabulated", whose samples go through `scipy.interpolate`'s
+    `_INTERPOLANT`.  Built by keyword after `kind`; a parameter outside its
+    kind's is refused unless at its default, and the kind's own numbers
+    become finite floats.  Samples become read-only copies, refused unless
+    matching, 1-D and strictly increasing in time (and, if `_POSITIVE`,
+    above zero), and are kept as tuples too: specs compare and hash by
+    value.  A time outside the samples' window is refused; a scalar time
+    gives a float."""
+
+    KINDS = {"tabulated": ("times", "values")}
+    _NAME, _INTERPOLANT, _POSITIVE = "", "", False  # each subclass's own
 
     kind: str
-    value: float = 0.0
-    amplitude: float = 0.0
-    frequency: float = 0.0
+    _: KW_ONLY
     times: np.ndarray | None = field(default=None, compare=False)
     values: np.ndarray | None = field(default=None, compare=False)
     _samples: tuple | None = field(default=None, init=False, repr=False)
@@ -61,7 +72,67 @@ class DriveSpec:
                             compare=False)
 
     def __post_init__(self):
-        _check_kind(self, "drive", "CubicSpline")
+        name = self._NAME
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown {name} kind {self.kind!r}")
+        for f in fields(self)[1:]:  # every field after kind
+            value = getattr(self, f.name)
+            if f.name in self.KINDS[self.kind]:
+                if f.default is not None:  # not tabulated samples
+                    object.__setattr__(self, f.name,
+                                       _finite(f"{name} {f.name}", value))
+            elif f.init:
+                if value is not None if f.default is None \
+                        else value != f.default:
+                    raise ValueError(f"{name} kind {self.kind!r} takes no "
+                                     f"{f.name}")
+                object.__setattr__(self, f.name, f.default)  # 0 becomes 0.0
+        if self.kind != "tabulated":
+            return
+        _freeze(self, ("times", "values"), float, copy=True)
+        times, values = self.times, self.values
+        if times.ndim != 1 or times.size < 2 or times.size != values.size:
+            raise ValueError(f"tabulated {name} needs matching 1-D samples")
+        if np.any(np.diff(times) <= 0):
+            raise ValueError(f"tabulated {name} times must increase strictly")
+        if self._POSITIVE and np.any(values <= 0.0):
+            raise ValueError(f"{name} samples must be positive")
+        object.__setattr__(self, "_samples",
+                           (tuple(times.tolist()), tuple(values.tolist())))
+        from scipy import interpolate  # lazy: slow import
+        object.__setattr__(self, "_interp", getattr(
+            interpolate, self._INTERPOLANT)(times, values))
+
+    @classmethod
+    def tabulated(cls, times, values):
+        return cls(kind="tabulated", times=times, values=values)
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        if self.kind != "tabulated":
+            return self._closed(t)[()]
+        if np.any(t < self.times[0] - 1e-12) or \
+                np.any(t > self.times[-1] + 1e-12):
+            raise ValueError(f"{self._NAME} sampled outside its tabulated "
+                             f"window [{self.times[0]:g}, {self.times[-1]:g}]")
+        out = self._interp(t)
+        if self._POSITIVE and np.any(out <= 0.0):
+            raise ValueError(f"interpolated {self._NAME} is non-positive")
+        return out[()]
+
+
+@dataclass(frozen=True, kw_only=True)
+class DriveSpec(_TimeSpec):
+    """Classical drive e(t): zero, constant, cosine, or tabulated samples
+    through a cubic spline."""
+
+    KINDS = {"zero": (), "constant": ("value",),
+             "cosine": ("amplitude", "frequency"), **_TimeSpec.KINDS}
+    _NAME, _INTERPOLANT = "drive", "CubicSpline"
+
+    value: float = 0.0
+    amplitude: float = 0.0
+    frequency: float = 0.0
 
     @classmethod
     def zero(cls) -> "DriveSpec":
@@ -75,74 +146,10 @@ class DriveSpec:
     def cosine(cls, amplitude: float, frequency: float) -> "DriveSpec":
         return cls(kind="cosine", amplitude=amplitude, frequency=frequency)
 
-    @classmethod
-    def tabulated(cls, times, values) -> "DriveSpec":
-        return cls(kind="tabulated", times=times, values=values)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind in ("zero", "constant"):  # value 0 when zero
-            out = np.full(t.shape, self.value)
-        elif self.kind == "cosine":
-            out = self.amplitude * np.cos(self.frequency * t)
-        else:
-            out = _interpolated(self, t, "drive")
-        return out[()]
-
-
-def _finite(name: str, value) -> float:
-    """float(value), refused with a message naming it unless finite."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _check_kind(spec, name: str, interpolant: str,
-                positive: bool = False) -> None:
-    """Refuse an unknown kind, or a parameter outside `spec.KINDS[kind]`
-    unless at its field default, and make the kind's own numbers finite
-    floats.  Tabulated samples become read-only copies, refused unless
-    matching, 1-D and strictly increasing in time (and, if `positive`, above
-    zero), and are also kept as tuples to compare and hash by; a
-    `scipy.interpolate` interpolant goes through them."""
-    if spec.kind not in spec.KINDS:
-        raise ValueError(f"unknown {name} kind {spec.kind!r}")
-    for f in fields(spec)[1:]:  # every field after kind
-        value = getattr(spec, f.name)
-        if f.name in spec.KINDS[spec.kind]:
-            if f.default is not None:  # not tabulated samples
-                object.__setattr__(spec, f.name,
-                                   _finite(f"{name} {f.name}", value))
-        elif f.init:
-            if value is not None if f.default is None else value != f.default:
-                raise ValueError(f"{name} kind {spec.kind!r} takes no "
-                                 f"{f.name}")
-            object.__setattr__(spec, f.name, f.default)  # 0 becomes 0.0
-    if spec.kind != "tabulated":
-        return
-    _freeze(spec, ("times", "values"), float, copy=True)
-    times, values = spec.times, spec.values
-    if times.ndim != 1 or times.size < 2 or times.size != values.size:
-        raise ValueError(f"tabulated {name} needs matching 1-D samples")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError(f"tabulated {name} times must increase strictly")
-    if positive and np.any(values <= 0.0):
-        raise ValueError(f"{name} samples must be positive")
-    object.__setattr__(spec, "_samples",
-                       (tuple(times.tolist()), tuple(values.tolist())))
-    from scipy import interpolate  # lazy: slow import
-    object.__setattr__(spec, "_interp",
-                       getattr(interpolate, interpolant)(times, values))
-
-
-def _interpolated(spec, t: np.ndarray, name: str) -> np.ndarray:
-    """A tabulated spec's interpolant at t, refused outside its window."""
-    if np.any(t < spec.times[0] - 1e-12) or \
-            np.any(t > spec.times[-1] + 1e-12):
-        raise ValueError(f"{name} sampled outside its tabulated window "
-                         f"[{spec.times[0]:g}, {spec.times[-1]:g}]")
-    return spec._interp(t)
+    def _closed(self, t: np.ndarray) -> np.ndarray:
+        if self.kind == "cosine":
+            return self.amplitude * np.cos(self.frequency * t)
+        return np.full(t.shape, self.value)  # value 0 when zero
 
 
 @dataclass(frozen=True)

@@ -60,8 +60,8 @@ def _panel_quadrature(f, starts, ends, tol: float) -> np.ndarray:
     budget = max(tol * tol, _BUDGET_FLOOR)
     starts = np.asarray(starts, dtype=float)
     spans = np.asarray(ends, dtype=float) - starts
-    if np.any(spans < 0.0):
-        raise ValueError("interval end precedes its start")
+    if not np.all((0.0 <= spans) & (spans < np.inf)):  # NaN fails too
+        raise ValueError("interval end precedes its start, or is not finite")
     out, todo, panels = None, np.arange(spans.size), 1
     while todo.size:
         over = todo[panels > np.maximum(_PANEL_CAP, _PANEL_CAP * spans[todo])]

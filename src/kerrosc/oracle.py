@@ -292,17 +292,19 @@ def _step_control(chains, psi0, t_end: float, times: np.ndarray, tol: float,
     not finite (the state is lost) or its defect passes the bound.
     """
     start = time.perf_counter()
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if t_end < 0.0:
-        raise ValueError("t_end must not be negative")
-    if times.size and (times[0] < -1e-12 or times[-1] > t_end + 1e-12
-                       or np.any(np.diff(times) < 0.0)):
-        raise ValueError("sample times must be sorted within [0, t_end]")
+    if not 0.0 < tol < math.inf:  # each check a comparison NaN fails
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
+    if times.size and not (-1e-12 <= times[0] and times[-1] <= t_end + 1e-12
+                           and np.all(np.diff(times) >= 0.0)):
+        raise ValueError("sample times must be finite, sorted, in [0, t_end]")
+    psi = np.array(psi0, dtype=np.complex128)
+    if not np.isfinite(psi).all():
+        raise ValueError("psi0 must be finite")
     span = float(times[-1]) if times.size else 0.0
     h = span * 1e-3
     h_min = max(span * 1e-14, _EXTRAPOLATION_FLOOR / tol)
-    psi = np.array(psi0, dtype=np.complex128)
     norm0 = math.sqrt(np.vdot(psi, psi).real)
     allowance = psi.size * _NORM_ROUNDING
     t = 0.0
@@ -417,7 +419,8 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
         Normalized initial state whose top SUPPORT_MARGIN levels hold at
         most BOUNDARY_POPULATION (both from `kerrosc.fock`).
     t_end : float
-        Final time.
+        Sets the default sample grid and bounds the samples; the run ends at
+        the last sample.
     tol : float
         Error budget per unit step: a step is accepted when its estimate is
         at most tol * h, with h the controller's step.  A step cut short to
@@ -436,6 +439,10 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
 
     Raises
     ------
+    ValueError
+        Before the first sample, if psi0 is not normalized, tol not positive
+        and finite, t_end not finite and non-negative, or the sample times
+        not finite and sorted in [0, t_end].
     OracleError
         If the top-level population passes BOUNDARY_POPULATION at a sample
         (the message names the first such sample time), or a step's state
@@ -477,6 +484,7 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
         arithmetic if real-valued.
     psi0 : FockState
     t_end : float
+        As in `integrate_exact`: the default sample, and the samples' bound.
     tol : float
         Error budget per unit step, as in `integrate_exact`: halving it
         divides the final-state error by about 2 to 2.5 (1 - F by about 4
@@ -494,7 +502,9 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
     Raises
     ------
     ValueError
-        If H(t) is not a finite n x n matrix, Hermitian within rounding
+        If tol, t_end or a sample time is refused as in `integrate_exact`,
+        or psi0 is not finite, before the first sample (any norm is kept);
+        or if H(t) is not a finite n x n matrix, Hermitian within rounding
         (`eigh` reads one triangle), naming the earliest such t of the step.
     OracleError
         As in `integrate_exact`, if a step's state is not finite or its norm

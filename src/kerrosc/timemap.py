@@ -6,7 +6,7 @@ evolution operator is the constant-mass one evaluated at the rescaled time
 tau = integral_0^t dt'/m(t'), so spectra and state evolution transfer between
 the two pictures.  The exponential-mass oscillator admits closed-form
 Heisenberg trajectories for q and p, provided here as the coefficient matrix
-relative to the initial operators.
+relative to the initial operators.  `MassSpec` shares `DriveSpec`'s base.
 
 Note: the underdamped momentum coefficients grow like exp(+rate*t/2); that is
 what keeps the coefficient matrix symplectic (determinant one), since the
@@ -16,12 +16,12 @@ canonical momentum tracks m(t) dq/dt with the growing mass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .driven import FrequencySpec, _check_kind, _finite, _interpolated
+from .driven import FrequencySpec, _finite, _TimeSpec
 from .fock import FockState
 from .integrators import _panel_quadrature
 
@@ -36,26 +36,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MassSpec:
-    """Oscillator mass m(t) > 0: constant, exponential, or tabulated.
-    Called with a time or an array of times, and checked, compared and
-    hashed like `DriveSpec`."""
+@dataclass(frozen=True, kw_only=True)
+class MassSpec(_TimeSpec):
+    """Oscillator mass m(t) > 0: constant, exponential, or positive tabulated
+    samples through a monotone cubic."""
 
     KINDS = {"constant": ("m0",), "exponential": ("m0", "rate"),
-             "tabulated": ("times", "values")}
+             **_TimeSpec.KINDS}
+    _NAME, _INTERPOLANT, _POSITIVE = "mass", "PchipInterpolator", True
 
-    kind: str
     m0: float = 1.0
     rate: float = 0.0
-    times: np.ndarray | None = field(default=None, compare=False)
-    values: np.ndarray | None = field(default=None, compare=False)
-    _samples: tuple | None = field(default=None, init=False, repr=False)
-    _interp: object = field(default=None, init=False, repr=False,
-                            compare=False)
 
     def __post_init__(self):
-        _check_kind(self, "mass", "PchipInterpolator", positive=True)
+        super().__post_init__()
         if self.m0 <= 0.0:
             raise ValueError("mass must be positive")
 
@@ -68,20 +62,8 @@ class MassSpec:
         """m(t) = m0 exp(rate * t)."""
         return cls(kind="exponential", m0=m0, rate=rate)
 
-    @classmethod
-    def tabulated(cls, times, values) -> "MassSpec":
-        """Monotone-cubic interpolation through positive mass samples."""
-        return cls(kind="tabulated", times=times, values=values)
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind in ("constant", "exponential"):  # rate 0 when constant
-            out = self.m0 * np.exp(self.rate * t)
-        else:
-            out = _interpolated(self, t, "mass")
-            if np.any(out <= 0.0):
-                raise ValueError("interpolated mass is non-positive")
-        return out[()]
+    def _closed(self, t: np.ndarray) -> np.ndarray:
+        return self.m0 * np.exp(self.rate * t)  # rate 0 when constant
 
 
 def rescaled_time(mass: MassSpec, t):

@@ -196,6 +196,19 @@ class TestParse:
         with pytest.raises(ConfigError, match="husimi.times"):
             parse_config("model: {omega0: 1.0}\nhusimi: {times: [-1.0]}")
 
+    @pytest.mark.parametrize("text, message", [
+        ("model: [1.0]", "model: expected a mapping, got list"),
+        ("model: {chi: 0.1}", "model.omega0: required key missing"),
+        ("time: {t_end: 1.0}", "missing required section 'model' "
+                               "(required key: model.omega0)"),
+        ("model: {omega0: 1.0}\nvariances: {xi_min: 2.0, xi_max: 2.0}",
+         "variances.xi_max: must exceed variances.xi_min"),
+    ], ids=["section-not-mapping", "omega0-missing", "model-missing",
+            "xi-range-empty"])
+    def test_structural_refusals_name_the_key(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+
     def test_bad_yaml_reported(self):
         with pytest.raises(ConfigError, match="YAML"):
             parse_config("model: [unclosed")

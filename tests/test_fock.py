@@ -228,3 +228,15 @@ class TestHelpers:
         s = coherent_state(1.0, 20)
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("amplitudes", [np.ones((2, 2)), np.ones(0)],
+                             ids=["2-D", "empty"])
+    def test_state_must_be_a_non_empty_vector(self, amplitudes):
+        with pytest.raises(ValueError, match="^amplitudes must be a non-empty "
+                                             "1-D vector$"):
+            FockState(amplitudes)
+
+    def test_operator_must_be_square(self):
+        with pytest.raises(ValueError,
+                           match="^operator matrix must be square$"):
+            FockOperator(np.ones((2, 3)))

@@ -102,6 +102,17 @@ class TestPanelQuadrature:
                               [0.0, 0.5], [0.5, 1.5], 1e-6)
         assert exc.value.t == 0.0
 
+    @pytest.mark.parametrize("start, end", [(0.0, math.nan), (math.nan, 1.0),
+                                            (0.0, math.inf)],
+                             ids=["end-nan", "start-nan", "end-inf"])
+    def test_non_finite_interval_refused(self, start, end):
+        # a NaN span once passed every check and doubled the panels, and
+        # the memory they take, without end
+        with pytest.raises(ValueError, match="^interval end precedes its "
+                                             "start, or is not finite$"):
+            _panel_quadrature(lambda t, running: np.ones_like(t),
+                              [0.0, start], [1.0, end], 1e-6)
+
     def test_running_integral_feeds_a_nested_one(self):
         # integral over [a, b] of cos(u) (sin u - sin a), per interval
         a, b = np.array([0.0, 1.0, 2.5]), np.array([1.0, 2.5, 7.0])

@@ -331,6 +331,37 @@ class TestIntegrateExact:
             integrate_exact(p, bad, 1.0, sample_times=np.array([0.0]))
 
 
+# Both propagators on a 30-level coherent state without drive: the exact
+# oracle, and the generic route on the same diagonal H.
+_PROPAGATORS = {
+    "exact": lambda psi0, t_end, **kw: integrate_exact(
+        ModelParams(omega0=1.0, chi=0.0, drive=DriveSpec.zero()), psi0,
+        t_end, **kw),
+    "schrodinger": lambda psi0, t_end, **kw: integrate_schrodinger(
+        lambda t: np.diag(np.arange(30) + 0.5), psi0, t_end, **kw),
+}
+
+
+@pytest.mark.parametrize("propagator", sorted(_PROPAGATORS))
+@pytest.mark.parametrize("t_end, kwargs, message", [
+    (math.nan, {}, "t_end must be finite and non-negative, got nan"),
+    (math.inf, {"sample_times": np.array([0.0, 1.0])},
+     "t_end must be finite and non-negative, got inf"),
+    (1.0, {"sample_times": np.array([0.0, math.nan])},
+     "sample times must be finite, sorted, in [0, t_end]"),
+    (1.0, {"sample_times": np.array([math.nan])},
+     "sample times must be finite, sorted, in [0, t_end]"),
+    (1.0, {"tol": math.nan}, "tol must be positive and finite, got nan"),
+    (1.0, {"tol": math.inf}, "tol must be positive and finite, got inf"),
+], ids=["t_end-nan", "t_end-inf", "sample-nan", "only-sample-nan", "tol-nan",
+        "tol-inf"])
+def test_non_finite_input_refused_by_name(propagator, t_end, kwargs, message):
+    # each was once accepted: a NaN time ended the run at once with the
+    # initial state, a NaN tol failed inside, an infinite one ran unguarded
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _PROPAGATORS[propagator](coherent_state(1.0, 30), t_end, **kwargs)
+
+
 class TestExactPair:
     """The oracle's step, `_strang_chains`, the four chains it returns, and
     their extrapolation in `_step_control`."""
@@ -647,6 +678,14 @@ class TestSchrodingerPropagator:
             psi0, 5.0, tol=1e-9, sample_times=np.linspace(0.0, 5.0, 11))
         assert np.abs(np.linalg.norm(states, axis=1)
                       - psi0.norm()).max() <= 1e-14
+
+    def test_rejects_nan_initial_state(self):
+        # as in integrate_exact: sampled at t = 0 alone, a NaN state would
+        # take no step for the norm guard to see
+        bad = FockState(np.array([math.nan, 0.0]))
+        with pytest.raises(ValueError, match="^psi0 must be finite$"):
+            integrate_schrodinger(lambda t: np.eye(2), bad, 1.0,
+                                  sample_times=np.array([0.0]))
 
     def test_budget_under_rounding_floor_refused_at_once(self):
         start = time.perf_counter()

@@ -122,6 +122,8 @@ class TestRescaledTime:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             rescaled_time(MassSpec.constant(1.0), -0.1)
+        with pytest.raises(ValueError, match="^tau must be non-negative$"):
+            physical_time(MassSpec.constant(1.0), np.array([0.5, -0.1]))
 
     @pytest.mark.parametrize("make, name", [
         (lambda: MassSpec.exponential(math.nan, 0.3), "mass m0"),
@@ -189,6 +191,26 @@ class TestRescaledTime:
             with pytest.raises(ValueError, match="read-only"):
                 samples[0] = 0.5
 
+    @pytest.mark.parametrize("cls", [DriveSpec, MassSpec])
+    def test_parameters_after_kind_are_keyword_only(self, cls):
+        # positionally, 2.0 would bind to the samples
+        with pytest.raises(TypeError, match="positional"):
+            cls("constant", 2.0)
+        assert cls("constant", **_OWN[cls.__name__, "constant"]) == \
+            cls(kind="constant", **_OWN[cls.__name__, "constant"])
+
+    @pytest.mark.parametrize("cls", [DriveSpec, MassSpec])
+    @pytest.mark.parametrize("times, values", [
+        ([0.0, 1.0, 2.0], [1.0, 2.0]),
+        ([[0.0, 1.0]], [[1.0, 2.0]]),
+        ([0.0], [1.0]),
+    ], ids=["unequal", "2-D", "one-sample"])
+    def test_tabulated_samples_must_match(self, cls, times, values):
+        section = "drive" if cls is DriveSpec else "mass"
+        with pytest.raises(ValueError, match=(
+                f"^tabulated {section} needs matching 1-D samples$")):
+            cls.tabulated(times, values)
+
     def test_non_positive_mass_rejected(self):
         with pytest.raises(ValueError):
             MassSpec.constant(0.0)
@@ -196,6 +218,11 @@ class TestRescaledTime:
             MassSpec.tabulated([0.0, 1.0], [1.0, -2.0])
         with pytest.raises(ValueError, match="^mass samples must be positive$"):
             MassSpec(kind="tabulated", times=[0, 1], values=[1, -1])
+        # positive samples, but the cubic's rounding takes the last one to
+        # zero or below at its own time
+        with pytest.raises(ValueError,
+                           match="^interpolated mass is non-positive$"):
+            MassSpec.tabulated([0.0, 1.0], [1.0, 1e-20])(1.0)
 
     def test_inverse_round_trip(self):
         for m in (MassSpec.constant(2.0), MassSpec.exponential(1.5, 0.4),
@@ -218,6 +245,12 @@ class TestRescaledTime:
             assert abs(physical_time(m, rescaled_time(m, t)) - t) < 1e-12
         back = physical_time(m, rescaled_time(m, targets))  # all at once
         assert np.abs(back - targets).max() < 1e-12
+
+    def test_tau_beyond_exponential_horizon_rejected(self):
+        # tau saturates at 1 / (rate m0) = 2 as t grows
+        with pytest.raises(ValueError, match=r"^tau=2\.5 beyond the reachable "
+                                             r"horizon 2$"):
+            physical_time(MassSpec.exponential(1.0, 0.5), 2.5)
 
     def test_tau_beyond_tabulated_window_rejected(self):
         m = MassSpec.tabulated([0.0, 1.0, 2.0], [1.0, 2.0, 1.5])
