@@ -111,10 +111,11 @@ class _TimeSpec:
         t = np.asarray(t, dtype=float)
         if self.kind != "tabulated":
             return self._closed(t)[()]
-        if np.any(t < self.times[0] - 1e-12) or \
-                np.any(t > self.times[-1] + 1e-12):
-            raise ValueError(f"{self._NAME} sampled outside its tabulated "
-                             f"window [{self.times[0]:g}, {self.times[-1]:g}]")
+        lo, hi = self.times[0], self.times[-1]
+        if not ((t >= lo - 1e-12).all() and (t <= hi + 1e-12).all()):
+            where = "at t=nan" if np.isnan(t).any() else \
+                f"outside its tabulated window [{lo:g}, {hi:g}]"
+            raise ValueError(f"{self._NAME} sampled {where}")
         out = self._interp(t)
         if self._POSITIVE and np.any(out <= 0.0):
             raise ValueError(f"interpolated {self._NAME} is non-positive")
@@ -178,8 +179,6 @@ class FrequencySpec:
 def displacement_amplitude(drive: DriveSpec, frequency: FrequencySpec, t):
     """lambda_t = e(t) / (Omega(t) sqrt(2 Omega(t)))."""
     omega = frequency(t)
-    if np.any(omega <= 0.0):
-        raise ValueError("frequency must be positive")
     return drive(t) / (omega * np.sqrt(2.0 * omega))
 
 

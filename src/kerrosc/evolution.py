@@ -112,19 +112,19 @@ def linearized_ladder(params: ModelParams, n: int, t: float,
     n : int
         Initial number-state level (the linearization premise).
     t : float
-        Evaluation time, t >= 0.
+        Evaluation time, finite and t >= 0.
     tol : float
-        Positive accuracy; panels double until each integral moves by at
-        most max(tol**2, 1e-13), the panel kernel's floor.  Any tol below
-        about 3.2e-7, the default included, runs at that floor and gives
-        the same result.
+        Positive, finite accuracy; panels double until each integral moves
+        by at most max(tol**2, 1e-13), the panel kernel's floor.  Any tol
+        below about 3.2e-7, the default included, runs at that floor and
+        gives the same result.
     """
     if n < 0:
         raise ValueError("level index must be non-negative")
-    if t < 0.0:
-        raise ValueError("t must be non-negative")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 <= t < math.inf:  # each check a comparison NaN fails
+        raise ValueError(f"t must be finite and non-negative, got {t}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     nu, chi = params.nu, params.chi
     scale = 1.0 / math.sqrt(2.0 * params.omega0)
 
@@ -241,7 +241,8 @@ def integrate_wei_norman(params: ModelParams, t_end: float,
     ----------
     params : ModelParams
     t_end : float
-        End of the integration window (starts at 0, all X vanish there).
+        End of the integration window, finite and non-negative (starts at
+        0, all X vanish there).
     samples : int, optional
         Number of equidistant output samples; defaults to 2000 per drive
         period, clipped to [1001, 200001].
@@ -252,8 +253,8 @@ def integrate_wei_norman(params: ModelParams, t_end: float,
         If an interval still misses the budget at 1024 panels, reporting
         the interval's start time.
     """
-    if t_end < 0.0:
-        raise ValueError("t_end must be non-negative")
+    if not 0.0 <= t_end < math.inf:  # NaN fails too
+        raise ValueError(f"t_end must be finite and non-negative, got {t_end}")
     if samples is None:
         samples = _default_samples(params, t_end)
     if samples < 2:

@@ -93,8 +93,8 @@ def detect_revivals(series: AutocorrSeries, threshold: float) -> np.ndarray:
     A 5-point median filter suppresses carrier-frequency ripple before the
     extremum search.
     """
-    if threshold <= 0.0:
-        raise ValueError("threshold must be positive")
+    if not threshold > 0.0:  # NaN fails too
+        raise ValueError(f"threshold must be positive, got {threshold}")
     if series.times.size < 3:
         raise ValueError("series too short for extremum detection")
     signal = series.abs_squared

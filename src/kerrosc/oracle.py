@@ -6,10 +6,10 @@ number-squared term included) and V = (a + a^dagger)/sqrt(2 Omega0), by a
 split-step scheme: a Strang step is "diagonal phase, rotate, diagonal
 phase".  V only links neighbouring levels, so one SVD of its even-odd
 block, made once, turns each rotation into half-size products and a cos /
-i sin mix (`_chiral_model`).  Each attempted step runs it as chains of 1,
-2, 3 and 4 substeps in lockstep, on buffers made once per run
-(`_strang_chains`).  It shares no code with the approximate branches, so it
-stays an independent route to the answer.  `integrate_schrodinger`, the
+i sin mix.  Each attempted step runs it as chains of 1, 2, 3 and 4
+substeps in lockstep; one `_StrangChains`, built once per run, holds that
+model and the buffers.  It shares no code with the approximate branches, so
+it stays an independent route to the answer.  `integrate_schrodinger`, the
 generic dense-matrix variant used to validate the time-reparametrization
 theorem, runs the same chains of another substep: the exponential midpoint
 rule, through `eigh` on the decoupled blocks of H(t).  One step-size
@@ -25,13 +25,12 @@ import logging
 import math
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .evolution import ModelParams
 from .fock import (BOUNDARY_POPULATION, SUPPORT_MARGIN, UNIT_NORM_TOL,
-                   FockState, _freeze, _row_blocks)
+                   FockState, _freeze, _row_blocks, inner)
 from .integrators import StepSizeError
 
 __all__ = [
@@ -52,7 +51,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
-# `_strang_chains` runs column j of its (2, m, 4) state as _SUBSTEPS[j]
+# `_StrangChains` runs column j of its (2, m, 4) state as _SUBSTEPS[j]
 # Strang substeps of h / _SUBSTEPS[j], most substeps first, so the columns
 # still running at stage s are the first 4 - s.
 _SUBSTEPS = (4, 3, 2, 1)
@@ -151,43 +150,39 @@ class OracleRun:
         return FockState(amps / np.linalg.norm(amps), normalized=True)
 
 
-def _chiral_model(params: ModelParams, n: int) -> tuple:
-    """The step's model on n levels, with V in its chiral form: V links
-    level k to k +- 1 only, so in (even, odd) level order it is
-    [[0, C], [C^T, 0]], and with C = P diag(sigma) Q^T, exp(-i theta V) is
-    W^T = [P^T, Q^T] on the halves, a mix of them by cos(theta sigma) and
-    -i sin(theta sigma), and W back.  Returns the stacked row order, each
-    level's row, W as (2, m, m) with m = ceil(n/2), sigma and the energies
-    by row.  An odd n's odd half gets one padding row: its own basis vector
-    in Q, sigma 0 and an opening phase of 0, so it stays exactly 0."""
-    m, levels = (n + 1) // 2, np.arange(n)
-    order = np.concatenate([levels[::2], levels[1::2], levels[:n % 2]])
-    ladder = np.sqrt(levels[1:]) / math.sqrt(2.0 * params.omega0)
-    p, sigma, qt = np.linalg.svd(
-        (np.diag(ladder, 1) + np.diag(ladder, -1))[::2, 1::2])
-    q = np.eye(m)
-    q[:n // 2, :n // 2] = qt.T
-    level = order.astype(float)
-    return (order, np.argsort(order[:n]), np.stack([p, q]),
-            np.append(sigma, np.zeros(n % 2)),
-            params.omega0 * (level + 0.5) + params.chi * level ** 2)
-
-
 def _blocks(table: np.ndarray, m: int, widths: list) -> list:
     """A flat table's consecutive contiguous (2, m, k) blocks, k in widths."""
     ends = 2 * m * np.cumsum([0] + widths)
     return [table[a:b].reshape(2, m, -1) for a, b in zip(ends, ends[1:])]
 
 
-class _Workspace:
-    """`_strang_chains`'s buffers on n levels, made once per run.  Its
-    tables are stage-blocked, each stage's (2, m, k) block contiguous: the
-    cos and i sin of the rotation angles, and two energy-phase tables, each
-    tagged with its step length.  `fills` counts the phase tables made."""
+class _StrangChains:
+    """The oracle's step on n levels: the model and buffers, made once.
 
-    def __init__(self, n: int):
-        m = (n + 1) // 2
-        rows, widths = np.arange(2 * m), [len(run) for run in _STAGES]
+    V links level k to k +- 1 only, so in (even, odd) level order it is
+    [[0, C], [C^T, 0]], and with C = P diag(sigma) Q^T, exp(-i theta V) is
+    W^T = [P^T, Q^T] on the halves, a mix of them by cos(theta sigma) and
+    -i sin(theta sigma), and W back: `w` is W as (2, m, m), m = ceil(n/2),
+    in the stacked row `order` (`rows` holds each level's).  An odd n's odd
+    half gets one padding row: its own basis vector in Q, sigma 0 and an
+    opening phase of 0, so it stays exactly 0.  The tables are
+    stage-blocked, each stage's (2, m, k) block contiguous: the cos and
+    i sin of the rotation angles, and two energy-phase tables, each tagged
+    with its step length; `fills` counts the phase tables made."""
+
+    def __init__(self, params: ModelParams, n: int):
+        m, levels, self.drive = (n + 1) // 2, np.arange(n), params.drive
+        order = np.concatenate([levels[::2], levels[1::2], levels[:n % 2]])
+        self.order, self.rows = order, np.argsort(order[:n])
+        ladder = np.sqrt(levels[1:]) / math.sqrt(2.0 * params.omega0)
+        p, sigma, qt = np.linalg.svd(
+            (np.diag(ladder, 1) + np.diag(ladder, -1))[::2, 1::2])
+        q = np.eye(m)
+        q[:n // 2, :n // 2] = qt.T
+        self.w, self.sigma = np.stack([p, q]), np.pad(sigma, (0, n % 2))
+        level = order.astype(float)
+        self.energies = params.omega0 * (level + 0.5) + params.chi * level ** 2
+        stacked, widths = np.arange(2 * m), [len(run) for run in _STAGES]
         # the angles by rotation, and their cos + 0i and 0 + i sin; the
         # phases by fraction, then a fixed 0 that opens the padding row
         self.angles = np.empty((_ROT_MIDS.size, m))
@@ -196,10 +191,10 @@ class _Workspace:
         self.fractions = np.zeros(self.args.size + 1, np.complex128)
         # each entry of the stage-blocked tables, as a flat index into those
         self.rot_layout = np.concatenate(
-            [np.add.outer(rows % m, c * m).ravel() for c in _STAGE_ROTATIONS]
-        ) + [[0], [self.angles.size]]
+            [np.add.outer(stacked % m, c * m).ravel()
+             for c in _STAGE_ROTATIONS]) + [[0], [self.angles.size]]
         self.phase_layout = np.concatenate(
-            [np.add.outer(rows, _PHASE_INDEX[c] * 2 * m).ravel()
+            [np.add.outer(stacked, _PHASE_INDEX[c] * 2 * m).ravel()
              for c in [np.arange(4)] + [c + 4 for c in _STAGE_ROTATIONS]])
         self.phase_layout[4 * n:8 * m] = self.args.size  # padding: opens at 0
         self.rot = np.empty(self.rot_layout.shape, np.complex128)
@@ -215,12 +210,12 @@ class _Workspace:
                                 np.empty_like(b), cos, isin))
         self.fills = 0
 
-    def phases(self, h: float, energies: np.ndarray) -> list:
+    def phases(self, h: float) -> list:
         """The blocks of step length h's energy-phase table, opening first.
         A miss refills the older table in place, bit-equal to a fresh one."""
         if h not in self.tags:
             self.tags, self.tables = [self.tags[1], h], self.tables[::-1]
-            np.multiply((-h * _PHASE_FRACTIONS)[:, None], energies,
+            np.multiply((-h * _PHASE_FRACTIONS)[:, None], self.energies,
                         out=self.args)
             by_fraction = self.fractions[:-1].reshape(self.args.shape)
             np.cos(self.args, out=by_fraction.real)
@@ -230,36 +225,31 @@ class _Workspace:
             self.fills += 1
         return self.tables[self.tags.index(h)][1]
 
-
-def _strang_chains(psi, t, h, drive, model, work=None):
-    """The end states of the Strang chains of a step of length h from psi at
-    t: row j holds _SUBSTEPS[j] substeps of h / _SUBSTEPS[j], over the
-    levels in order.
-
-    The Strang substep exp(-i H0 tau/2) exp(-i tau e(t_mid) V)
-    exp(-i H0 tau/2) runs, neighbouring half phases merged, in lockstep as
-    the columns of one (2, m, 4) state in `_chiral_model`'s row order.  Each
-    stage rotates the columns still running: one stacked real product
-    W^T @ x, the cos / i sin mix of the halves, and W @ x back.  Returns a
-    fresh array."""
-    order, rows, w, sigma, energies = model
-    work = work or _Workspace(rows.size)
-    np.multiply((-h * _ROT_WEIGHTS * drive(t + h * _ROT_MIDS))[:, None],
-                sigma, out=work.angles)
-    np.cos(work.angles, out=work.trig[0].real)
-    np.sin(work.angles, out=work.trig[1].imag)
-    work.trig.take(work.rot_layout, out=work.rot, mode="clip")
-    opening, *phases = work.phases(h, energies)
-    np.multiply(psi[order].reshape(2, -1, 1), opening, out=work.x)
-    for (s, s_float, b, b_float, mixed, cos, isin), phase in zip(
-            work.stages, phases):
-        np.matmul(w.mT, s_float, out=b_float)
-        np.multiply(b[::-1], isin, out=mixed)
-        b *= cos
-        b += mixed
-        np.matmul(w, b_float, out=s_float)
-        s *= phase
-    return work.x.reshape(-1, 4).T[:, rows]
+    def __call__(self, psi, t, h):
+        """The end states of a step of length h's Strang chains from psi at
+        t, row j over _SUBSTEPS[j] substeps of h / _SUBSTEPS[j], as a fresh
+        array.  Each substep exp(-i H0 tau/2) exp(-i tau e(t_mid) V)
+        exp(-i H0 tau/2) runs, neighbouring half phases merged, in lockstep
+        as the columns of one (2, m, 4) state in `order`; each stage rotates
+        the columns still running: W^T @ x, the cos / i sin mix of the
+        halves, and W @ x back."""
+        w, x = self.w, self.x
+        np.multiply((-h * _ROT_WEIGHTS * self.drive(t + h * _ROT_MIDS))
+                    [:, None], self.sigma, out=self.angles)
+        np.cos(self.angles, out=self.trig[0].real)
+        np.sin(self.angles, out=self.trig[1].imag)
+        self.trig.take(self.rot_layout, out=self.rot, mode="clip")
+        opening, *phases = self.phases(h)
+        np.multiply(psi[self.order].reshape(2, -1, 1), opening, out=x)
+        for (s, s_float, b, b_float, mixed, cos, isin), phase in zip(
+                self.stages, phases):
+            np.matmul(w.mT, s_float, out=b_float)
+            np.multiply(b[::-1], isin, out=mixed)
+            b *= cos
+            b += mixed
+            np.matmul(w, b_float, out=s_float)
+            s *= phase
+        return x.reshape(-1, 4).T[:, self.rows]
 
 
 def _step_control(chains, psi0, t_end: float, times: np.ndarray, tol: float,
@@ -373,9 +363,7 @@ def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
             f"initial support too close to the truncation boundary "
             f"(top-{SUPPORT_MARGIN} population {margin_pop:.3e})")
 
-    work = _Workspace(n_trunc)
-    chains = partial(_strang_chains, drive=params.drive,
-                     model=_chiral_model(params, n_trunc), work=work)
+    chains = _StrangChains(params, n_trunc)
     peak_top = 0.0
 
     def guarded(part, states):
@@ -391,7 +379,7 @@ def _exact_blocks(params: ModelParams, psi0: FockState, t_end: float,
 
     steps = _step_control(chains, psi0.amplitudes, t_end, times, tol, guarded)
     logger.debug("integrate_exact: %d phase tables, peak boundary population "
-                 "%.3e, %s", work.fills, peak_top, steps,
+                 "%.3e, %s", chains.fills, peak_top, steps,
                  extra={"steps": steps})
     return steps
 
@@ -405,12 +393,13 @@ def integrate_exact(params: ModelParams, psi0: FockState, t_end: float,
     and 4 Strang substeps and keeps their Aitken-Neville extrapolation in
     h**2, of order 8, rescaled to psi0's unit norm; the distance to the
     order-6 extrapolation over 2, 3 and 4 substeps is the error estimate
-    that sets the step.  One `_strang_chains` call runs the chains, with V
-    in its chiral form, and `_step_control` extrapolates them; the
-    energy-phase tables of the last two step lengths are kept.  The DEBUG
-    line counts those filled and gives the peak boundary population, then
-    prints the run's `StepRecord`, kept as `OracleRun.steps` and the log
-    record's `steps` (peak norm defect 5.8e-15 on fig. 2, 0.002 of bound).
+    that sets the step.  One `_StrangChains`, built for the run, runs the
+    chains with V in its chiral form and keeps the energy-phase tables of
+    the last two step lengths; `_step_control` extrapolates them.  The
+    DEBUG line counts the tables filled and gives the peak boundary
+    population, then prints the run's `StepRecord`, kept as
+    `OracleRun.steps` and the log record's `steps` (peak norm defect
+    5.8e-15 on fig. 2, 0.002 of bound).
 
     Parameters
     ----------
@@ -576,6 +565,4 @@ def integrate_schrodinger(hamiltonian, psi0: FockState, t_end: float,
 
 def fidelity(psi: FockState, phi: FockState) -> float:
     """|<psi|phi>|^2 for states on the same truncated basis."""
-    if psi.n_trunc != phi.n_trunc:
-        raise ValueError(f"dimension mismatch: {psi.n_trunc} vs {phi.n_trunc}")
-    return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
+    return float(abs(inner(psi, phi)) ** 2)

@@ -74,8 +74,9 @@ def rescaled_time(mass: MassSpec, t):
     tau at the knots once, then one panel set from the knot below each t.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be non-negative")
+    if not (t >= 0.0).all():  # NaN fails too
+        raise ValueError("t must not be NaN" if np.isnan(t).any()
+                         else "t must be non-negative")
     if mass.kind == "tabulated":
         edges, knot_tau = _knot_tau(mass)
         k = np.searchsorted(edges, t, side="right") - 1
@@ -104,8 +105,9 @@ def physical_time(mass: MassSpec, tau):
     """Inverse of `rescaled_time`, tau or array; a tabulated mass takes Newton
     steps, dtau/dt = 1/m, each target until its own step stops shrinking."""
     tau = np.asarray(tau, dtype=float)
-    if (tau < 0.0).any():  # the method: np.any adds a dispatch per call
-        raise ValueError("tau must be non-negative")
+    if not (tau >= 0.0).all():  # NaN fails too; np.all adds a dispatch
+        raise ValueError("tau must not be NaN" if np.isnan(tau).any()
+                         else "tau must be non-negative")
     if mass.kind == "tabulated":
         edges, knot_tau = _knot_tau(mass)
         if (knot_tau[-1] < tau).any():

@@ -26,9 +26,7 @@ from kerrosc.oracle import (
     StepRecord,
     _EXTRAPOLATION,
     _SUBSTEPS,
-    _chiral_model,
-    _strang_chains,
-    _Workspace,
+    _StrangChains,
     fidelity,
     integrate_exact,
     integrate_schrodinger,
@@ -280,12 +278,15 @@ class TestIntegrateExact:
         p = ModelParams(omega0=1.0, chi=0.25,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
         psi0 = coherent_state(3.0, 66)
-        model = _chiral_model(p, 66)
-        j = int(np.argmax(np.abs(psi0.amplitudes[::2] @ model[2][0])))
-        mutated = model[2].copy()
-        mutated[0, :, j] *= 1.0 + 1e-9
-        monkeypatch.setattr(oracle, "_chiral_model",
-                            lambda *args: model[:2] + (mutated,) + model[3:])
+        j = int(np.argmax(np.abs(psi0.amplitudes[::2]
+                                 @ _StrangChains(p, 66).w[0])))
+
+        class Mutated(_StrangChains):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.w[0, :, j] *= 1.0 + 1e-9
+
+        monkeypatch.setattr(oracle, "_StrangChains", Mutated)
         with pytest.raises(StepSizeError, match="underflow at t=0$") as info:
             integrate_exact(p, psi0, 1.0,
                             sample_times=np.linspace(0.0, 1.0, 11))
@@ -363,7 +364,7 @@ def test_non_finite_input_refused_by_name(propagator, t_end, kwargs, message):
 
 
 class TestExactPair:
-    """The oracle's step, `_strang_chains`, the four chains it returns, and
+    """The oracle's step, `_StrangChains`, the four chains it returns, and
     their extrapolation in `_step_control`."""
 
     @staticmethod
@@ -402,12 +403,10 @@ class TestExactPair:
         return kept, np.linalg.norm(error)
 
     @staticmethod
-    def model(chi, n):
-        """The fig. 2 drive at this Kerr constant on n levels: the params
-        and `_strang_chains`'s arguments after (psi, t, h)."""
-        p = ModelParams(omega0=1.0, chi=chi,
-                        drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
-        return p, (p.drive, _chiral_model(p, n))
+    def model(chi):
+        """The fig. 2 drive at this Kerr constant."""
+        return ModelParams(omega0=1.0, chi=chi,
+                           drive=DriveSpec.cosine(1.0, 1.0), alpha=3.0)
 
     # even and odd bases, the odd ones with the chiral form's padding row,
     # down to the smallest the oracle takes (SUPPORT_MARGIN + 1 levels)
@@ -416,14 +415,14 @@ class TestExactPair:
                              ids=["fig2-66", "kerr-free-203", "smallest-11",
                                   "odd-65"])
     def test_matches_four_dense_strang_chains(self, chi, n):
-        p, args = self.model(chi, n)
+        p = self.model(chi)
         rng = np.random.default_rng(n)
         psi = rng.normal(size=n) + 1j * rng.normal(size=n)
         psi /= np.linalg.norm(psi)
         t, h = 1.3, 0.02
         dense = {m: self.strang_chain(psi, t, h, m, p, n) for m in _SUBSTEPS}
-        work = _Workspace(n)
-        chains = _strang_chains(psi, t, h, *args, work)
+        step = _StrangChains(p, n)
+        chains = step(psi, t, h)
         # each chain as it ends, unnormalized, so an error in their common
         # norm shows
         assert chains.shape == (4, n)
@@ -434,47 +433,47 @@ class TestExactPair:
         assert np.abs(kept - t44).max() < 1e-13
         assert abs(estimate - np.linalg.norm(t44 - t43)) < 1e-13
         # an odd basis's padding row (the last stacked row) ends exactly 0
-        assert not work.x.reshape(-1, 4)[n:].any()
+        assert not step.x.reshape(-1, 4)[n:].any()
 
     def test_estimate_is_of_sixth_order(self):
         # the error of the order-6 T43 over one step goes as h**7: halving
         # h divides the estimate by about 2**7 (2**7.07 measured), summed
         # over starting times through one drive period
-        _, args = self.model(0.25, 66)
+        step = _StrangChains(self.model(0.25), 66)
         psi = coherent_state(3.0, 66).amplitudes
         starts = np.linspace(0.0, 2 * math.pi, 9)[:-1]
-        sums = [sum(self.extrapolated(_strang_chains(psi, t, h, *args))[1]
+        sums = [sum(self.extrapolated(step(psi, t, h))[1]
                     for t in starts) for h in (0.08, 0.04)]
         assert 6.5 <= math.log2(sums[0] / sums[1]) <= 7.5
 
     def test_returns_fresh_arrays_from_a_reused_workspace(self):
-        _, args = self.model(0.25, 30)
+        p = self.model(0.25)
         psi = coherent_state(1.0, 30).amplitudes
-        work = _Workspace(30)
-        first = _strang_chains(psi, 0.5, 0.01, *args, work)
+        step = _StrangChains(p, 30)
+        first = step(psi, 0.5, 0.01)
         kept = first.copy()
-        second = _strang_chains(first[0], 0.51, 0.01, *args, work)
+        second = step(first[0], 0.51, 0.01)
         for chains in (first, second):
-            assert not np.shares_memory(chains, work.x)
+            assert not np.shares_memory(chains, step.x)
             assert not np.shares_memory(chains, psi)
         assert not np.shares_memory(first, second)
         # the second call leaves the first call's chains as they were, and a
-        # reused workspace gives what a fresh one gives
+        # reused step object gives what a fresh one gives
         assert np.array_equal(first, kept)
-        assert np.array_equal(second, _strang_chains(kept[0], 0.51, 0.01,
-                                                     *args))
+        assert np.array_equal(second, _StrangChains(p, 30)(kept[0], 0.51,
+                                                           0.01))
         # lengths h', h'' and h again: h'' evicts h's phase table from the
         # two slots and h refills one, each step bit-equal to a fresh one
         t, state = 0.52, self.extrapolated(second)[0]
         for h in (0.02, 0.03, 0.01):
-            reused = _strang_chains(state, t, h, *args, work)
-            assert not np.shares_memory(reused, work.x)
-            assert np.array_equal(reused, _strang_chains(state, t, h, *args))
+            reused = step(state, t, h)
+            assert not np.shares_memory(reused, step.x)
+            assert np.array_equal(reused, _StrangChains(p, 30)(state, t, h))
             t, state = t + h, self.extrapolated(reused)[0]
-        assert work.fills == 4
+        assert step.fills == 4
 
     def test_runs_at_other_truncations_leave_no_trace(self):
-        # each run fills its own workspace: interleaved runs at two
+        # each run builds its own step object: interleaved runs at two
         # truncations are bit-identical to the same runs repeated
         p = ModelParams(omega0=1.0, chi=0.25,
                         drive=DriveSpec.cosine(1.0, 1.0), alpha=1.0)
@@ -508,7 +507,7 @@ class TestFidelity:
         assert abs(got - math.exp(-0.25)) < 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dimension mismatch: 5 vs 6$"):
             fidelity(number_state(0, 5), number_state(0, 6))
 
 
