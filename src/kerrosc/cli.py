@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,19 +146,10 @@ def _sampled(spec, times, key: str):
 def _model_params(cfg: ScenarioConfig, t_end: float | None = None,
                   key: str = "time.t_end") -> ModelParams:
     """The config's model, its drive sampled over [0, t_end] (default
-    `time.t_end`; a window that misses it names `key`).  Its one warning,
-    chi/omega0 above 0.5, goes to stderr as a line naming `model.chi`, not
-    as a warning naming this line."""
-    drive = _sampled(cfg.drive(), (0.0, cfg.t_end if t_end is None
-                                   else t_end), key)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        params = ModelParams(omega0=cfg.omega0, chi=cfg.chi, drive=drive,
-                             alpha=cfg.alpha)
-    for warning in caught:
-        print(f"warning[config]: model.chi: {warning.message}",
-              file=sys.stderr)
-    return params
+    `time.t_end`; a window that misses it names `key`)."""
+    t_end = cfg.t_end if t_end is None else t_end
+    return ModelParams(omega0=cfg.omega0, chi=cfg.chi, alpha=cfg.alpha,
+                       drive=_sampled(cfg.drive(), (0.0, t_end), key))
 
 
 def _wei_norman_rows(sol) -> tuple[list[str], np.ndarray]:

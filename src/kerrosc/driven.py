@@ -48,6 +48,13 @@ def _finite(name: str, value) -> float:
     return value
 
 
+def _sampled_times(name: str, t) -> np.ndarray:
+    """t as a float array, refused by `name` unless every time is finite."""
+    if not np.isfinite(t := np.asarray(t, dtype=float)).all():
+        raise ValueError(f"{name} sampled at t={t[~np.isfinite(t)][0]:g}")
+    return t
+
+
 @dataclass(frozen=True)
 class _TimeSpec:
     """A time function: a closed form `_closed(t)` for each of its `KINDS`
@@ -57,8 +64,8 @@ class _TimeSpec:
     become finite floats.  Samples become read-only copies, refused unless
     matching, 1-D and strictly increasing in time (and, if `_POSITIVE`,
     above zero), and are kept as tuples too: specs compare and hash by
-    value.  A time outside the samples' window is refused; a scalar time
-    gives a float."""
+    value.  A time that is not finite, or past the samples' window, is
+    refused; a scalar time gives a float."""
 
     KINDS = {"tabulated": ("times", "values")}
     _NAME, _INTERPOLANT, _POSITIVE = "", "", False  # each subclass's own
@@ -108,14 +115,13 @@ class _TimeSpec:
         return cls(kind="tabulated", times=times, values=values)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _sampled_times(self._NAME, t)
         if self.kind != "tabulated":
             return self._closed(t)[()]
         lo, hi = self.times[0], self.times[-1]
         if not ((t >= lo - 1e-12).all() and (t <= hi + 1e-12).all()):
-            where = "at t=nan" if np.isnan(t).any() else \
-                f"outside its tabulated window [{lo:g}, {hi:g}]"
-            raise ValueError(f"{self._NAME} sampled {where}")
+            raise ValueError(f"{self._NAME} sampled outside its tabulated "
+                             f"window [{lo:g}, {hi:g}]")
         out = self._interp(t)
         if self._POSITIVE and np.any(out <= 0.0):
             raise ValueError(f"interpolated {self._NAME} is non-positive")
@@ -171,9 +177,8 @@ class FrequencySpec:
             raise ValueError("confinement parameter k must lie in [0, 1/2)")
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.omega0 * (1.0 + 2.0 * self.k
-                              * np.cos(2.0 * self.omega0 * t))
+        return self.omega0 * (1.0 + 2.0 * self.k * np.cos(
+            2.0 * self.omega0 * _sampled_times("frequency", t)))
 
 
 def displacement_amplitude(drive: DriveSpec, frequency: FrequencySpec, t):

@@ -14,7 +14,6 @@ Two approximate branches for H = Omega0 (n + 1/2) + chi n^2
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ class ModelParams:
 
     alpha is the initial coherent amplitude entering the averaged interaction
     coefficient; it is frozen there rather than updated self-consistently.
+    Any chi >= 0 runs: chi/omega0 does not rank where the averaging holds.
     """
 
     omega0: float
@@ -57,11 +57,6 @@ class ModelParams:
         object.__setattr__(self, "alpha", complex(self.alpha))
         if not all(map(math.isfinite, (self.alpha.real, self.alpha.imag))):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
-        if self.chi > 0.5 * self.omega0:
-            warnings.warn(
-                f"chi/omega0 = {self.chi / self.omega0:.3g} > 0.5: outside "
-                "the weak-nonlinearity regime the approximations assume",
-                stacklevel=3)  # past __post_init__ and __init__
 
     @property
     def nu(self) -> float:

@@ -110,7 +110,6 @@ class TestAutocorrelation:
                     for t in at]
             np.testing.assert_allclose(values, loop, rtol=0, atol=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:chi/omega0")
     @pytest.mark.parametrize("name", ["autocorr_kerr_free",
                                       "autocorr_kerr_quarter",
                                       "autocorr_kerr_unit"])
@@ -149,7 +148,6 @@ class TestAutocorrelation:
 
 
 class TestDetectRevivals:
-    @pytest.mark.filterwarnings("ignore:chi/omega0")
     def test_kerr_revivals_near_wrap_times(self):
         p = fig2_params(1.0)
         sol = integrate_wei_norman(p, 14.0)
@@ -165,14 +163,12 @@ class TestDetectRevivals:
         ser = autocorrelation_series(sol, np.linspace(0.0, 3.0, 301))
         assert detect_revivals(ser, 1.1).size == 0
 
-    @pytest.mark.filterwarnings("ignore:chi/omega0")
     def test_detects_the_first_revival(self):
         p = fig2_params(1.0)
         sol = integrate_wei_norman(p, 7.0)
         ser = autocorrelation_series(sol, np.arange(0.0, 7.0, 0.01))
         assert detect_revivals(ser, 0.5).size
 
-    @pytest.mark.filterwarnings("ignore:chi/omega0")
     @pytest.mark.parametrize("name", ["autocorr_kerr_free",
                                       "autocorr_kerr_quarter",
                                       "autocorr_kerr_unit"])

@@ -45,6 +45,23 @@ NON_FINITE = {
                         "drive sampled at t=nan"),
     "tabulated-mass": (lambda: MassSpec.tabulated([0, 1], [1, 2])(math.nan),
                        "mass sampled at t=nan"),
+    "cosine-drive": (lambda: DriveSpec.cosine(1, 1)(math.nan),
+                     "drive sampled at t=nan"),
+    "cosine-drive-inf": (lambda: DriveSpec.cosine(1, 1)([0.0, math.inf]),
+                         "drive sampled at t=inf"),
+    "constant-drive": (lambda: DriveSpec.constant(1)(-math.inf),
+                       "drive sampled at t=-inf"),
+    "exponential-mass": (lambda: EXPONENTIAL(math.nan),
+                         "mass sampled at t=nan"),
+    "exponential-mass-inf": (lambda: EXPONENTIAL(math.inf),
+                             "mass sampled at t=inf"),
+    "tabulated-drive-inf": (
+        lambda: DriveSpec.tabulated([0, 1], [0, 1])(math.inf),
+        "drive sampled at t=inf"),
+    "frequency": (lambda: FrequencySpec(1.0)(math.nan),
+                  "frequency sampled at t=nan"),
+    "frequency-inf": (lambda: FrequencySpec(1.0, 0.2)([math.inf, 0.0]),
+                      "frequency sampled at t=inf"),
     "rescaled-exponential": (lambda: rescaled_time(EXPONENTIAL, math.nan),
                              "t must not be NaN"),
     "rescaled-constant": (
